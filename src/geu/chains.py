@@ -5,23 +5,25 @@ eigenvalue sitting in a different block, and a different eigenvalue entirely.
 Each produces a coefficient table beta[(target_rank, chain_index)] filled by
 recurrence, then linear combinations of the original chain vectors.
 
-The table builders are written against bare scalar arithmetic so they run
-unchanged over GaussScalar (exact mode) and complex floats (float mode).
+Everything here runs unchanged in exact mode (a PerturbationProblem over
+GaussScalar) and float mode (a floatmode.FloatProblem over complex128).
+Besides lam, m, r, spec, source, moment(j) and source_chain(j), a problem
+provides zero, negligible(x) (a vanishing denominator), block_chain(i, t),
+block_moment(i, t) = b* block_chain(i, t), eigenvalue(i) and
+combine(base, pairs) = base + sum c v.  Case hypotheses compare the spec's
+exact eigenvalues in both modes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from . import linalg
 from .errors import (
     DegenerateDenominator,
     EigenvalueMismatch,
     RankOutOfRange,
 )
 from .linalg import Vector
-from .model import ChainLocator, chain_vector
-from .perturb import PerturbationProblem
 from .scalars import GS_ZERO, GaussScalar
 
 SAME_BLOCK = "same_block"
@@ -135,30 +137,34 @@ def distinct_eig_table(
     return table
 
 
-# -- exact chain construction ----------------------------------------------
+# -- chain construction (exact and float alike) ----------------------------
 
 
-def same_block_beta(problem: PerturbationProblem) -> GaussScalar:
+def _has_lambda(problem, block_index: int) -> bool:
+    """Whether a block carries the source eigenvalue, compared exactly."""
+    blocks = problem.spec.blocks
+    return blocks[block_index].eigenvalue == blocks[problem.source.block_index].eigenvalue
+
+
+def same_block_beta(problem) -> GaussScalar:
     """-b*x_1 / (1 + b*x_{m+1}); the coefficient on the rank-shifted tail."""
     if problem.m + 1 > problem.r:
         raise RankOutOfRange(
             f"need rank m+1={problem.m + 1} in a block of size {problem.r}"
         )
     den = problem.moment(problem.m + 1) + 1
-    if not den:
+    if problem.negligible(den):
         raise DegenerateDenominator(
             "1 + b*x_{m+1} = 0: same-block formulas do not apply", den
         )
     return -problem.moment(1) / den
 
 
-def default_same_block_t_max(problem: PerturbationProblem) -> int:
+def default_same_block_t_max(problem) -> int:
     return problem.r - problem.m
 
 
-def same_block_chain(
-    problem: PerturbationProblem, t_max: int | None = None
-) -> list[UpdatedChainVector]:
+def same_block_chain(problem, t_max: int | None = None) -> list[UpdatedChainVector]:
     """u_1..u_t_max associated with lambda in the source block."""
     if t_max is None:
         t_max = default_same_block_t_max(problem)
@@ -170,35 +176,34 @@ def same_block_chain(
     if t_max < 1:
         return []
     beta = same_block_beta(problem)
-    if t_max >= 2 and not problem.moment(1):
+    if t_max >= 2 and problem.negligible(problem.moment(1)):
         raise DegenerateDenominator(
             "b*x_1 = 0: same-block recurrence undefined for rank >= 2",
             problem.moment(1),
         )
-    table = same_block_table(problem.moment, beta, m, t_max, GS_ZERO)
+    table = same_block_table(problem.moment, beta, m, t_max, problem.zero)
     coeffs = ChainCoefficients(SAME_BLOCK, beta, table)
+    x = problem.source_chain
     out = []
     for t in range(1, t_max + 1):
-        v = problem.source_chain(t)
-        for j in range(1, min(t - 1, m) + 1):
-            v = linalg.vec_add(v, linalg.vec_scale(coeffs.coeff(t, j), problem.source_chain(j)))
-        v = linalg.vec_add(v, linalg.vec_scale(beta, problem.source_chain(m + t)))
-        out.append(UpdatedChainVector(t, lam, v, coeffs))
+        pairs = [(table[t, j], x(j)) for j in range(1, min(t - 1, m) + 1)]
+        pairs.append((beta, x(m + t)))
+        out.append(UpdatedChainVector(t, lam, problem.combine(x(t), pairs), coeffs))
     return out
 
 
 def other_block_chain(
-    problem: PerturbationProblem, other_block: int, t_max: int | None = None
+    problem, other_block: int, t_max: int | None = None
 ) -> list[UpdatedChainVector]:
     """v_1..v_t_max associated with lambda sitting in another block."""
-    spec = problem.spec
     if other_block == problem.source.block_index:
         raise EigenvalueMismatch("other_block must differ from the source block")
-    block = spec.blocks[other_block]
-    if block.eigenvalue != problem.lam:
+    block = problem.spec.blocks[other_block]
+    if not _has_lambda(problem, other_block):
+        lam = problem.spec.blocks[problem.source.block_index].eigenvalue
         raise EigenvalueMismatch(
             f"block {other_block} has eigenvalue {block.eigenvalue!r}, "
-            f"expected {problem.lam!r}"
+            f"expected {lam!r}"
         )
     if t_max is None:
         t_max = block.size
@@ -208,32 +213,26 @@ def other_block_chain(
         )
     if t_max < 1:
         return []
-    if not problem.moment(1):
+    if problem.negligible(problem.moment(1)):
         raise DegenerateDenominator(
             "b*x_1 = 0: other-block recurrence undefined", problem.moment(1)
         )
-    m, lam = problem.m, problem.lam
-
-    def y(t):
-        return chain_vector(spec, ChainLocator(other_block, t))
-
-    def ymom(t):
-        return linalg.conj_dot(problem.b, y(t))
-
-    table = other_block_table(problem.moment, ymom, m, t_max, GS_ZERO)
+    m = problem.m
+    table = other_block_table(
+        problem.moment, lambda t: problem.block_moment(other_block, t),
+        m, t_max, problem.zero,
+    )
     coeffs = ChainCoefficients(OTHER_BLOCK, None, table)
+    x = problem.source_chain
     out = []
     for t in range(1, t_max + 1):
-        v = y(t)
-        for j in range(1, min(t, m) + 1):
-            v = linalg.vec_add(v, linalg.vec_scale(coeffs.coeff(t, j), problem.source_chain(j)))
-        out.append(UpdatedChainVector(t, lam, v, coeffs))
+        pairs = [(table[t, j], x(j)) for j in range(1, min(t, m) + 1)]
+        v = problem.combine(problem.block_chain(other_block, t), pairs)
+        out.append(UpdatedChainVector(t, problem.lam, v, coeffs))
     return out
 
 
-def distinct_eig_denominator(
-    problem: PerturbationProblem, mu: GaussScalar
-) -> GaussScalar:
+def distinct_eig_denominator(problem, mu):
     """(mu-lambda)^{m+1} - sum_{j=1}^m (mu-lambda)^j b*x_j."""
     d = mu - problem.lam
     out = d ** (problem.m + 1)
@@ -243,13 +242,11 @@ def distinct_eig_denominator(
 
 
 def distinct_eig_chain(
-    problem: PerturbationProblem, mu_block: int, t_max: int | None = None
+    problem, mu_block: int, t_max: int | None = None
 ) -> list[UpdatedChainVector]:
     """w_1..w_t_max associated with an eigenvalue mu != lambda."""
-    spec = problem.spec
-    block = spec.blocks[mu_block]
-    mu = block.eigenvalue
-    if mu == problem.lam:
+    block = problem.spec.blocks[mu_block]
+    if _has_lambda(problem, mu_block):
         raise EigenvalueMismatch(
             f"block {mu_block} carries lambda itself; use the same-eigenvalue cases"
         )
@@ -259,27 +256,51 @@ def distinct_eig_chain(
         raise RankOutOfRange(f"t_max = {t_max} exceeds block size {block.size}")
     if t_max < 1:
         return []
+    mu = problem.eigenvalue(mu_block)
     denom = distinct_eig_denominator(problem, mu)
-    if not denom:
+    if problem.negligible(denom):
         raise DegenerateDenominator(
             "update factor vanishes at mu: distinct-eigenvalue formulas do not apply",
             denom,
         )
     m = problem.m
-    d = mu - problem.lam
-
-    def z(t):
-        return chain_vector(spec, ChainLocator(mu_block, t))
-
-    def zmom(t):
-        return linalg.conj_dot(problem.b, z(t))
-
-    table = distinct_eig_table(problem.moment, zmom, d, denom, m, t_max, GS_ZERO)
+    table = distinct_eig_table(
+        problem.moment, lambda t: problem.block_moment(mu_block, t),
+        mu - problem.lam, denom, m, t_max, problem.zero,
+    )
     coeffs = ChainCoefficients(DISTINCT_EIGENVALUE, None, table)
+    x = problem.source_chain
     out = []
     for t in range(1, t_max + 1):
-        v = z(t)
-        for j in range(1, m + 1):
-            v = linalg.vec_add(v, linalg.vec_scale(coeffs.coeff(t, j), problem.source_chain(j)))
+        pairs = [(table[t, j], x(j)) for j in range(1, m + 1)]
+        v = problem.combine(problem.block_chain(mu_block, t), pairs)
         out.append(UpdatedChainVector(t, mu, v, coeffs))
     return out
+
+
+def chain_cases(problem, which: str = "all"):
+    """Yield (case, block index) for every applicable construction.
+
+    which is "all", "same", "other" or "distinct".  Cases follow block order
+    after the same-block case, and are chosen by exact eigenvalue equality.
+    """
+    src = problem.source.block_index
+    if which in ("all", "same") and problem.r - problem.m >= 1:
+        yield SAME_BLOCK, src
+    for i in range(len(problem.spec.blocks)):
+        if i == src:
+            continue
+        if _has_lambda(problem, i):
+            if which in ("all", "other"):
+                yield OTHER_BLOCK, i
+        elif which in ("all", "distinct"):
+            yield DISTINCT_EIGENVALUE, i
+
+
+def build_chain(problem, case: str, block_index: int) -> list[UpdatedChainVector]:
+    """Run the construction for one (case, block) from chain_cases."""
+    if case == SAME_BLOCK:
+        return same_block_chain(problem)
+    if case == OTHER_BLOCK:
+        return other_block_chain(problem, block_index)
+    return distinct_eig_chain(problem, block_index)

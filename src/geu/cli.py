@@ -88,6 +88,12 @@ def cmd_example(args) -> int:
 def cmd_verify(args) -> int:
     matrix = load_matrix(args.matrix)
     vectors = load_vectors(args.vectors)
+    for i, v in enumerate(vectors):
+        if len(v) != len(matrix):
+            raise ParseError(
+                f"vectors[{i}]: length {len(v)}, expected {len(matrix)}",
+                field=f"vectors[{i}]",
+            )
     eig = parse_eigenvalue_arg(args.eigenvalue)
     verdict = oracle.verify_chain(matrix, eig, vectors)
     doc = {

@@ -1,14 +1,13 @@
 """Floating-point evaluation path for larger problems.
 
-Reuses the scalar recurrences from chains.py over complex128 and checks
-residuals numerically instead of exactly.
+FloatProblem gives the chains module a complex128 view of a problem, so the
+same constructions run in both modes; residuals are checked numerically
+instead of exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import chains
-from .errors import DegenerateDenominator
 from .perturb import PerturbationProblem, update_char_factor
 
 
@@ -32,119 +31,57 @@ def spec_matrices(problem: PerturbationProblem):
 
 
 class FloatProblem:
-    """Complex-float view of a PerturbationProblem."""
+    """Complex-float view of a PerturbationProblem, run by the chains module."""
+
+    zero = 0j
 
     def __init__(self, problem: PerturbationProblem):
-        self.exact = problem
+        self.spec = problem.spec
+        self.source = problem.source
         self.a, self.s = spec_matrices(problem)
         self.b = np.array([complex(v) for v in problem.b])
         self.lam = complex(problem.lam)
         self.m = problem.m
+        self.r = problem.r
         self.n = problem.spec.n
-        self.updated = self.a + np.outer(self.chain(problem.source.block_index, self.m), self.b.conj())
+        self.updated = self.a + np.outer(self.source_chain(self.m), self.b.conj())
         # degeneracy threshold relative to the data scale
         self.eps = 1e-12 * max(
             1.0, np.linalg.norm(self.a), np.linalg.norm(self.b)
         )
 
-    def chain(self, block_index: int, rank: int) -> np.ndarray:
+    def negligible(self, x: complex) -> bool:
+        return abs(x) <= self.eps
+
+    def eigenvalue(self, block_index: int) -> complex:
+        return complex(self.spec.blocks[block_index].eigenvalue)
+
+    def block_chain(self, block_index: int, rank: int) -> np.ndarray:
         if rank == 0:
             return np.zeros(self.n, dtype=complex)
-        off = self.exact.spec.block_offset(block_index)
+        off = self.spec.block_offset(block_index)
         return self.s[:, off + rank - 1].copy()
+
+    def block_moment(self, block_index: int, rank: int) -> complex:
+        return np.vdot(self.b, self.block_chain(block_index, rank))
+
+    def source_chain(self, j: int) -> np.ndarray:
+        return self.block_chain(self.source.block_index, j)
 
     def moment(self, j: int) -> complex:
         if j == 0:
             return 0j
-        return np.vdot(self.b, self.chain(self.exact.source.block_index, j))
+        return self.block_moment(self.source.block_index, j)
+
+    @staticmethod
+    def combine(base: np.ndarray, pairs) -> np.ndarray:
+        for c, v in pairs:
+            base = base + c * v
+        return base
 
     def residual_scale(self) -> float:
-        x = self.chain(self.exact.source.block_index, self.m)
+        x = self.source_chain(self.m)
         return np.linalg.norm(self.a) + np.linalg.norm(x) * np.linalg.norm(self.b)
-
-
-def _combine(base, pairs):
-    out = base.copy()
-    for c, v in pairs:
-        out = out + c * v
-    return out
-
-
-def same_block_chain_float(fp: FloatProblem, t_max: int | None = None):
-    """(rank, vector) pairs for the source-block case, complex arithmetic."""
-    p = fp.exact
-    if t_max is None:
-        t_max = p.r - p.m
-    if p.m + t_max > p.r:
-        t_max = p.r - p.m
-    if t_max < 1:
-        return []
-    den = 1 + fp.moment(p.m + 1)
-    if abs(den) <= fp.eps:
-        raise DegenerateDenominator("1 + b*x_{m+1} ~ 0", den)
-    beta = -fp.moment(1) / den
-    if t_max >= 2 and abs(fp.moment(1)) <= fp.eps:
-        raise DegenerateDenominator("b*x_1 ~ 0", fp.moment(1))
-    table = chains.same_block_table(fp.moment, beta, p.m, t_max, 0j)
-    src = p.source.block_index
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table.get((t, j), 0j), fp.chain(src, j))
-                 for j in range(1, min(t - 1, p.m) + 1)]
-        pairs.append((beta, fp.chain(src, p.m + t)))
-        out.append((t, fp.lam, _combine(fp.chain(src, t), pairs)))
-    return out
-
-
-def other_block_chain_float(fp: FloatProblem, other_block: int,
-                            t_max: int | None = None):
-    p = fp.exact
-    block = p.spec.blocks[other_block]
-    if t_max is None:
-        t_max = block.size
-    if abs(fp.moment(1)) <= fp.eps:
-        raise DegenerateDenominator("b*x_1 ~ 0", fp.moment(1))
-
-    def ymom(t):
-        return np.vdot(fp.b, fp.chain(other_block, t))
-
-    table = chains.other_block_table(fp.moment, ymom, p.m, t_max, 0j)
-    src = p.source.block_index
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table.get((t, j), 0j), fp.chain(src, j))
-                 for j in range(1, min(t, p.m) + 1)]
-        out.append((t, fp.lam, _combine(fp.chain(other_block, t), pairs)))
-    return out
-
-
-def distinct_eig_chain_float(fp: FloatProblem, mu_block: int,
-                             t_max: int | None = None):
-    p = fp.exact
-    block = p.spec.blocks[mu_block]
-    mu = complex(block.eigenvalue)
-    if t_max is None:
-        t_max = block.size
-    d = mu - fp.lam
-    denom = d ** (p.m + 1) - sum(
-        d**j * fp.moment(j) for j in range(1, p.m + 1)
-    )
-    if abs(denom) <= fp.eps:
-        raise DegenerateDenominator("update factor ~ 0 at mu", denom)
-
-    def zmom(t):
-        return np.vdot(fp.b, fp.chain(mu_block, t))
-
-    table = chains.distinct_eig_table(
-        fp.moment, zmom, d, denom, p.m, t_max, 0j
-    )
-    src = p.source.block_index
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table.get((t, j), 0j), fp.chain(src, j))
-                 for j in range(1, p.m + 1)]
-        out.append((t, mu, _combine(fp.chain(mu_block, t), pairs)))
-    return out
 
 
 def chain_residual(fp: FloatProblem, eigenvalue: complex,

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import LocatorOutOfRange, SingularSimilarity
+from .errors import LocatorOutOfRange, SingularMatrix, SingularSimilarity
 from .linalg import Matrix, Vector
 from .poly import Poly
 from .scalars import GS_ONE, GS_ZERO, GaussScalar
@@ -85,7 +85,7 @@ def assemble_matrix(spec: JordanSpec) -> Matrix:
         )
     try:
         s_inv = linalg.inverse(s)
-    except Exception:
+    except SingularMatrix:
         raise SingularSimilarity("similarity matrix is singular")
     return linalg.mat_mul(linalg.mat_mul(s, j), s_inv)
 

@@ -99,10 +99,6 @@ def char_poly_direct(m: Matrix) -> Poly:
     return Poly(tuple(coeffs))
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    return linalg.nullspace(m)
-
-
 def jordan_structure(
     m: Matrix, eigenvalues: list[GaussScalar]
 ) -> JordanStructure:

@@ -21,6 +21,8 @@ from .scalars import GS_ONE, GS_ZERO, GaussScalar
 class PerturbationProblem:
     """A Jordan spec, a source chain position (lambda, rank m), and b."""
 
+    zero = GS_ZERO
+
     def __init__(self, spec: JordanSpec, source: ChainLocator, b: Vector):
         if not (0 <= source.block_index < len(spec.blocks)):
             raise ValueError(f"source block {source.block_index} out of range")
@@ -51,13 +53,31 @@ class PerturbationProblem:
     def matrix(self) -> Matrix:
         return model.assemble_matrix(self.spec)
 
+    @staticmethod
+    def negligible(x: GaussScalar) -> bool:
+        return not x
+
+    def eigenvalue(self, block_index: int) -> GaussScalar:
+        return self.spec.blocks[block_index].eigenvalue
+
+    def block_chain(self, block_index: int, rank: int) -> Vector:
+        return model.chain_vector(self.spec, ChainLocator(block_index, rank))
+
+    def block_moment(self, block_index: int, rank: int) -> GaussScalar:
+        return linalg.conj_dot(self.b, self.block_chain(block_index, rank))
+
+    @staticmethod
+    def combine(base: Vector, pairs) -> Vector:
+        """base + sum of c v over the (c, v) pairs, in order."""
+        for c, v in pairs:
+            base = linalg.vec_add(base, linalg.vec_scale(c, v))
+        return base
+
     def source_chain(self, j: int) -> Vector:
         """x_j of the source block (x_0 is the zero vector)."""
         if j == 0:
             return linalg.zero_vector(self.spec.n)
-        return model.chain_vector(
-            self.spec, ChainLocator(self.source.block_index, j)
-        )
+        return self.block_chain(self.source.block_index, j)
 
     @cached_property
     def x_m(self) -> Vector:

@@ -109,10 +109,6 @@ class Poly:
         return self.scale(GS_ONE / lead)
 
 
-def poly_eval(p: Poly, v: GaussScalar) -> GaussScalar:
-    return p.eval(v)
-
-
 def poly_divide_linear(p: Poly, root: GaussScalar, k: int = 1) -> Poly:
     """Divide p by (t-root)^k, verifying a zero remainder at every step."""
     cur = p

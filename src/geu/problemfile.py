@@ -20,6 +20,11 @@ def _require(cond: bool, message: str, field: str):
         raise ParseError(f"{field}: {message}", field=field)
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def parse_vector(obj, field: str) -> Vector:
     _require(isinstance(obj, list), "expected a list of scalars", field)
     return tuple(
@@ -48,7 +53,7 @@ def parse_problem(doc: dict) -> PerturbationProblem:
         _require(isinstance(raw, dict), "expected an object", field)
         _require("size" in raw, "missing size", f"{field}.size")
         size = raw["size"]
-        _require(isinstance(size, int) and size >= 1,
+        _require(_is_int(size) and size >= 1,
                  "size must be a positive integer", f"{field}.size")
         eig = parse_scalar(raw.get("eigenvalue", "0"), f"{field}.eigenvalue")
         blocks.append(JordanBlock(eig, size))
@@ -63,11 +68,11 @@ def parse_problem(doc: dict) -> PerturbationProblem:
              "missing source object", "source")
     src = doc["source"]
     block_index = src.get("block")
-    _require(isinstance(block_index, int)
+    _require(_is_int(block_index)
              and 0 <= block_index < len(blocks),
              f"must be an index in [0, {len(blocks)})", "source.block")
     rank = src.get("rank")
-    _require(isinstance(rank, int) and rank >= 1,
+    _require(_is_int(rank) and rank >= 1,
              "must be a positive integer", "source.rank")
     _require(rank <= blocks[block_index].size,
              f"exceeds block size {blocks[block_index].size}", "source.rank")
@@ -78,15 +83,19 @@ def parse_problem(doc: dict) -> PerturbationProblem:
     return PerturbationProblem(spec, ChainLocator(block_index, rank), b)
 
 
-def load_problem(path: str) -> PerturbationProblem:
+def _read_json(path: str):
+    """The decoded JSON document in a file; ParseError when unreadable."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ParseError(f"{path}: invalid JSON ({exc})")
-    return parse_problem(doc)
+
+
+def load_problem(path: str) -> PerturbationProblem:
+    return parse_problem(_read_json(path))
 
 
 def encode_problem(problem: PerturbationProblem) -> dict:
@@ -110,22 +119,13 @@ def encode_problem(problem: PerturbationProblem) -> dict:
 
 
 def load_matrix(path: str) -> Matrix:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})")
-    m = parse_matrix(doc, "matrix")
+    m = parse_matrix(_read_json(path), "matrix")
     _require(len(m) == len(m[0]), "matrix must be square", "matrix")
     return m
 
 
 def load_vectors(path: str) -> list[Vector]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})")
+    doc = _read_json(path)
     _require(isinstance(doc, list) and doc, "expected a list of vectors",
              "vectors")
     return [parse_vector(v, f"vectors[{i}]") for i, v in enumerate(doc)]

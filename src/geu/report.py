@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import chains, floatmode, oracle, perturb
 from .chains import UpdatedChainVector
-from .errors import DegenerateDenominator, ExactModeUnavailable
+from .errors import DegenerateDenominator, ExactModeUnavailable, GeuError
 from .perturb import PerturbationProblem
 from .poly import poly_roots
 from .scalars import encode_scalar
@@ -25,29 +25,6 @@ def _encode_chain_vector(cv: UpdatedChainVector) -> dict:
             for (t, j), val in sorted(coeffs.table.items())
         },
     }
-
-
-def _chain_cases(problem: PerturbationProblem, which: str):
-    """Yield (case, block_index, constructor) for every applicable case."""
-    src = problem.source.block_index
-    if which in ("all", "same") and problem.r - problem.m >= 1:
-        yield chains.SAME_BLOCK, src, lambda: chains.same_block_chain(problem)
-    for i, block in enumerate(problem.spec.blocks):
-        if i == src:
-            continue
-        if block.eigenvalue == problem.lam:
-            if which in ("all", "other"):
-                yield (
-                    chains.OTHER_BLOCK,
-                    i,
-                    lambda i=i: chains.other_block_chain(problem, i),
-                )
-        elif which in ("all", "distinct"):
-            yield (
-                chains.DISTINCT_EIGENVALUE,
-                i,
-                lambda i=i: chains.distinct_eig_chain(problem, i),
-            )
 
 
 def run_problem(
@@ -91,18 +68,17 @@ def run_problem(
     all_ok = True
     chain_reports = []
     verdicts = []
-    for case, block_index, build in _chain_cases(problem, which_chains):
+    for case, block_index in chains.chain_cases(problem, which_chains):
         entry = {"case": case, "block": block_index}
+        chain_reports.append(entry)
         try:
-            vectors = build()
+            vectors = chains.build_chain(problem, case, block_index)
         except DegenerateDenominator as exc:
             entry["degenerate"] = str(exc)
             if exc.value is not None:
                 entry["denominator"] = encode_scalar(exc.value)
-            chain_reports.append(entry)
             continue
         entry["vectors"] = [_encode_chain_vector(cv) for cv in vectors]
-        chain_reports.append(entry)
         if not vectors:
             continue
         verdict = oracle.verify_chain(
@@ -146,7 +122,7 @@ def run_problem(
                 }
                 for eig, sizes in structure.entries
             ]
-        except Exception as exc:
+        except GeuError as exc:
             oracle_report["jordan_structure"] = None
             oracle_report["structure_error"] = str(exc)
     else:
@@ -174,44 +150,23 @@ def run_problem_float(
         ],
         "bound": perturb.changed_eigenvalue_bound(problem),
     }
-    src = problem.source.block_index
-    cases = []
-    if which_chains in ("all", "same") and problem.r - problem.m >= 1:
-        cases.append((chains.SAME_BLOCK, src,
-                      lambda: floatmode.same_block_chain_float(fp)))
-    for i, block in enumerate(problem.spec.blocks):
-        if i == src:
-            continue
-        if block.eigenvalue == problem.lam:
-            if which_chains in ("all", "other"):
-                cases.append(
-                    (chains.OTHER_BLOCK, i,
-                     lambda i=i: floatmode.other_block_chain_float(fp, i))
-                )
-        elif which_chains in ("all", "distinct"):
-            cases.append(
-                (chains.DISTINCT_EIGENVALUE, i,
-                 lambda i=i: floatmode.distinct_eig_chain_float(fp, i))
-            )
     max_residual = 0.0
     chain_reports = []
-    for case, block_index, build in cases:
+    for case, block_index in chains.chain_cases(problem, which_chains):
         entry = {"case": case, "block": block_index}
+        chain_reports.append(entry)
         try:
-            produced = build()
+            produced = chains.build_chain(fp, case, block_index)
         except DegenerateDenominator as exc:
             entry["degenerate"] = str(exc)
-            chain_reports.append(entry)
             continue
         if produced:
-            eig = produced[0][1]
             residual = floatmode.chain_residual(
-                fp, eig, [v for _, _, v in produced]
+                fp, produced[0].eigenvalue, [cv.vector for cv in produced]
             )
-            entry["ranks"] = [t for t, _, _ in produced]
+            entry["ranks"] = [cv.rank for cv in produced]
             entry["residual"] = residual
             max_residual = max(max_residual, residual)
-        chain_reports.append(entry)
     report["chains"] = chain_reports
     report["max_residual"] = max_residual
     report["residual_scale"] = scale

@@ -39,19 +39,6 @@ class SweepResult:
     elapsed: float = 0.0
 
 
-def _chain_cases(problem):
-    src = problem.source.block_index
-    if problem.r - problem.m >= 1:
-        yield lambda: chains.same_block_chain(problem)
-    for i, block in enumerate(problem.spec.blocks):
-        if i == src:
-            continue
-        if block.eigenvalue == problem.lam:
-            yield lambda i=i: chains.other_block_chain(problem, i)
-        else:
-            yield lambda i=i: chains.distinct_eig_chain(problem, i)
-
-
 @pytest.fixture(scope="module")
 def sweep():
     rng = random.Random(SWEEP_SEED)
@@ -67,9 +54,9 @@ def sweep():
             result.identity_failures += 1
 
         # chain constructions against the oracle (criterion 4)
-        for build in _chain_cases(problem):
+        for case, block in chains.chain_cases(problem):
             try:
-                produced = build()
+                produced = chains.build_chain(problem, case, block)
             except DegenerateDenominator:
                 result.degenerate += 1
                 continue

@@ -4,6 +4,8 @@ import pytest
 
 from geu import linalg, oracle
 from geu.chains import (
+    build_chain,
+    chain_cases,
     distinct_eig_chain,
     distinct_eig_denominator,
     other_block_chain,
@@ -208,20 +210,9 @@ def test_distinct_errors(worked):
 
 
 def _chains_for(problem):
-    src = problem.source.block_index
-    if problem.r - problem.m >= 1:
+    for case, block in chain_cases(problem):
         try:
-            yield same_block_chain(problem)
-        except DegenerateDenominator:
-            pass
-    for i, block in enumerate(problem.spec.blocks):
-        if i == src:
-            continue
-        try:
-            if block.eigenvalue == problem.lam:
-                yield other_block_chain(problem, i)
-            else:
-                yield distinct_eig_chain(problem, i)
+            yield build_chain(problem, case, block)
         except DegenerateDenominator:
             pass
 
@@ -308,3 +299,17 @@ def test_denominator_is_shifted_update_factor(rng):
                 continue
             want = (mu - problem.lam) * f.eval(mu)
             assert distinct_eig_denominator(problem, mu) == want
+
+
+def test_chain_cases_worked(worked):
+    same, other, distinct = (
+        ("same_block", 0), ("other_block", 1), ("distinct_eigenvalue", 2)
+    )
+    assert list(chain_cases(worked)) == [same, other, distinct]
+    assert list(chain_cases(worked, "all")) == [same, other, distinct]
+    assert list(chain_cases(worked, "same")) == [same]
+    assert list(chain_cases(worked, "other")) == [other]
+    assert list(chain_cases(worked, "distinct")) == [distinct]
+    # no same-block case once the source rank fills its block
+    full = PerturbationProblem(worked.spec, ChainLocator(0, 6), worked.b)
+    assert list(chain_cases(full)) == [other, distinct]

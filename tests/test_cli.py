@@ -197,3 +197,63 @@ def test_parse_eigenvalue_arg():
     assert parse_eigenvalue_arg("1/2,-1/3") == gs("1/2", "-1/3")
     with pytest.raises(ParseError):
         parse_eigenvalue_arg("1,2,3")
+
+
+def _verify_files(tmp_path, matrix, vectors):
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(json.dumps(matrix))
+    vec_path = tmp_path / "v.json"
+    vec_path.write_text(json.dumps(vectors))
+    return str(matrix_path), str(vec_path)
+
+
+def test_unreadable_files(tmp_path):
+    matrix_path, vec_path = _verify_files(tmp_path, [["2"]], [["1"]])
+    missing = str(tmp_path / "absent.json")
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe[")
+    for bad in (missing, str(undecodable)):
+        for matrix, vectors in ((bad, vec_path), (matrix_path, bad)):
+            code, out, err = run_cli(
+                "verify", "--matrix", matrix, "--eigenvalue", "2",
+                "--vectors", vectors,
+            )
+            assert code == 2 and out == ""
+            assert bad in err
+        code, out, err = run_cli("compute", bad)
+        assert code == 2 and out == ""
+        assert bad in err
+
+
+def test_verify_vector_length(tmp_path):
+    matrix = [["2", "1"], ["0", "2"]]
+    for vectors in ([["1", "0", "0"]], [[]], [["1", "0"], ["1"]]):
+        matrix_path, vec_path = _verify_files(tmp_path, matrix, vectors)
+        code, out, err = run_cli(
+            "verify", "--matrix", matrix_path, "--eigenvalue", "2",
+            "--vectors", vec_path,
+        )
+        assert code == 2 and out == ""
+        assert "expected 2" in err
+
+
+def _one_block_doc(size=1, block=0, rank=1):
+    return {
+        "blocks": [{"eigenvalue": "2", "size": size}],
+        "b": ["1"],
+        "source": {"block": block, "rank": rank},
+    }
+
+
+def test_parse_problem_rejects_booleans(tmp_path):
+    for kwargs, field in (({"size": True}, "blocks[0].size"),
+                          ({"block": False}, "source.block"),
+                          ({"rank": True}, "source.rank")):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(_one_block_doc(**kwargs))
+        assert exc.value.field == field
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_one_block_doc(size=True, rank=True)))
+    code, _, err = run_cli("compute", str(path))
+    assert code == 2
+    assert "blocks[0].size" in err

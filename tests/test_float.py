@@ -1,19 +1,20 @@
 import numpy as np
 
-from geu import floatmode
+from geu import chains, floatmode
 from geu.fuzz import random_problem
 from geu.report import run_problem
 
 
 def test_float_matches_exact_worked(worked):
     fp = floatmode.FloatProblem(worked)
-    u = floatmode.same_block_chain_float(fp, 4)
-    from geu.chains import same_block_chain
-
-    exact = same_block_chain(worked, 4)
-    for (t, eig, vec), cv in zip(u, exact):
-        want = np.array([complex(x) for x in cv.vector])
-        assert np.allclose(vec, want, atol=1e-12)
+    for case, block in chains.chain_cases(worked):
+        produced = chains.build_chain(fp, case, block)
+        exact = chains.build_chain(worked, case, block)
+        assert [cv.rank for cv in produced] == [cv.rank for cv in exact]
+        for cv, want in zip(produced, exact):
+            assert cv.eigenvalue == complex(want.eigenvalue)
+            vec = np.array([complex(x) for x in want.vector])
+            assert np.allclose(cv.vector, vec, atol=1e-12)
 
 
 def test_float_report_worked(worked):
@@ -32,6 +33,6 @@ def test_float_residuals_random(rng):
 
 def test_residual_scale_definition(worked):
     fp = floatmode.FloatProblem(worked)
-    x = fp.chain(worked.source.block_index, worked.m)
+    x = fp.source_chain(worked.m)
     want = np.linalg.norm(fp.a) + np.linalg.norm(x) * np.linalg.norm(fp.b)
     assert fp.residual_scale() == want

@@ -9,7 +9,6 @@ from geu.poly import (
     Poly,
     distinct_root_count,
     poly_divide_linear,
-    poly_eval,
     poly_from_shifted,
     poly_gcd,
     poly_roots,
@@ -28,12 +27,12 @@ def shifted_example():
 
 def test_poly_eval_examples():
     p = Poly.of([gs(-1), gs(0), gs(1)])  # t^2 - 1
-    assert poly_eval(p, gs(1)) == GS_ZERO
+    assert p.eval(gs(1)) == GS_ZERO
     q = shifted_example()
     assert q.coeffs == (gs(-3), gs(-2), gs(1))
-    assert poly_eval(q, gs(3)) == GS_ZERO
+    assert q.eval(gs(3)) == GS_ZERO
     # by-hand expansion to t^2 - 2t - 3 gives -3 at t = 0
-    assert poly_eval(q, GS_ZERO) == gs(-3)
+    assert q.eval(GS_ZERO) == gs(-3)
 
 
 def test_degree_and_trim():
@@ -148,7 +147,7 @@ def test_divide_round_trip(p, root, k):
 def test_exact_roots_round_trip():
     p = shifted_example() * Poly.linear(gs("1/3")) ** 2
     for root, mult in poly_roots(p):
-        assert poly_eval(p, root) == GS_ZERO
+        assert p.eval(root) == GS_ZERO
         assert mult >= 1
 
 
