@@ -13,6 +13,10 @@ class ExactModeUnavailable(GeuError):
     """Exact factorization could not be completed; fall back to numeric mode."""
 
 
+class FloatOverflow(GeuError):
+    """An exact scalar is too large to convert to a complex float."""
+
+
 class NotDivisible(GeuError):
     """Synthetic division left a nonzero remainder."""
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import LocatorOutOfRange, SingularMatrix, SingularSimilarity
+from .errors import (
+    LocatorOutOfRange,
+    ParseError,
+    SingularMatrix,
+    SingularSimilarity,
+)
 from .linalg import Matrix, Vector
 from .poly import Poly
 from .scalars import GS_ONE, GS_ZERO, GaussScalar
@@ -51,12 +56,6 @@ class JordanSpec:
 class ChainLocator:
     block_index: int
     rank: int
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
@@ -110,26 +109,23 @@ def chain_vector(spec: JordanSpec, loc: ChainLocator) -> Vector:
     return tuple(row[idx] for row in spec.similarity)
 
 
-def validate_spec(spec: JordanSpec) -> list[Diagnostic]:
-    out = []
+def validate_spec(spec: JordanSpec) -> None:
+    """Raise ParseError on the first defect of a parsed spec."""
     if not spec.blocks:
-        out.append(Diagnostic("EmptyBlocks", "spec has no Jordan blocks"))
-        return out
+        raise ParseError("blocks: spec has no Jordan blocks", field="blocks")
     s = spec.similarity
-    if s is not None:
-        if len(s) != spec.n or any(len(r) != spec.n for r in s):
-            out.append(
-                Diagnostic(
-                    "DimensionMismatch",
-                    f"similarity is {len(s)}x{len(s[0]) if s else 0}, "
-                    f"expected {spec.n}x{spec.n}",
-                )
-            )
-        elif not linalg.det(s):
-            out.append(
-                Diagnostic("SingularSimilarity", "similarity matrix is singular")
-            )
-    return out
+    if s is None:
+        return
+    if len(s) != spec.n or any(len(r) != spec.n for r in s):
+        raise ParseError(
+            f"similarity: similarity is {len(s)}x{len(s[0]) if s else 0}, "
+            f"expected {spec.n}x{spec.n}",
+            field="similarity",
+        )
+    if not linalg.det(s):
+        raise ParseError(
+            "similarity: similarity matrix is singular", field="similarity"
+        )
 
 
 def spec_char_poly(spec: JordanSpec) -> Poly:

@@ -5,19 +5,20 @@ Coefficients are stored low-degree first; the leading coefficient is nonzero
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExactModeUnavailable, NotDivisible, ZeroPolynomial
-from .scalars import GS_ONE, GS_ZERO, GaussScalar, gauss_sqrt, gs
-
-# Rational-root search bails out beyond this constant-term magnitude rather
-# than grinding through divisor enumeration.
-_FACTOR_SEARCH_LIMIT = 10**12
+from .errors import (
+    ExactModeUnavailable,
+    FloatOverflow,
+    NotDivisible,
+    ZeroPolynomial,
+)
+from .scalars import GS_ONE, GS_ZERO, GaussScalar, gs
 
 
 @dataclass(frozen=True)
@@ -132,128 +133,66 @@ def poly_divide_linear(p: Poly, root: GaussScalar, k: int = 1) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm."""
     while not b.is_zero:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a.is_zero:
         return a
     return a.monic()
 
 
-def _poly_mod(a: Poly, b: Poly) -> Poly:
+def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     rem = list(a.coeffs)
     db, lead = b.degree, b.leading()
+    quot = [GS_ZERO] * max(len(rem) - db, 0)
     while len(rem) - 1 >= db and rem:
         q = rem[-1] / lead
         off = len(rem) - 1 - db
+        quot[off] = q
         for i, c in enumerate(b.coeffs):
             rem[off + i] = rem[off + i] - q * c
         while rem and not rem[-1]:
             rem.pop()
-    return Poly(tuple(rem))
+    return Poly.of(quot), Poly(tuple(rem))
+
+
+def _squarefree_part(p: Poly) -> Poly:
+    """p / gcd(p, p'): the distinct roots of p, each once."""
+    if p.is_zero:
+        raise ZeroPolynomial("zero polynomial")
+    deriv = Poly.of(c * gs(i) for i, c in enumerate(p.coeffs) if i >= 1)
+    quot, rem = _poly_divmod(p, poly_gcd(p, deriv))
+    if not rem.is_zero:
+        raise NotDivisible(f"gcd(p, p') leaves remainder {rem!r}")
+    return quot
 
 
 def distinct_root_count(p: Poly) -> int:
     """Number of distinct complex roots, via deg p - deg gcd(p, p')."""
-    if p.is_zero:
-        raise ZeroPolynomial("zero polynomial")
-    deriv = Poly.of(
-        (c * gs(i) for i, c in enumerate(p.coeffs) if i >= 1)
-    )
-    if deriv.is_zero:
-        return 0
-    return p.degree - poly_gcd(p, deriv).degree
+    return _squarefree_part(p).degree
 
 
 # -- root extraction -------------------------------------------------------
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-    return sorted(set(out))
-
-
-def _norm_candidates(norm: int) -> list[GaussScalar]:
-    """Gaussian integers (up to units) whose norm divides the given norm."""
-    out = []
-    for d in _divisors(norm):
-        for a in range(isqrt(d) + 1):
-            b2 = d - a * a
-            b = isqrt(b2)
-            if b * b == b2:
-                out.append((a, b))
-    seen = set()
-    result = []
-    for a, b in out:
-        for re, im in ((a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a),
-                       (-b, a), (-b, -a)):
-            if (re, im) != (0, 0) and (re, im) not in seen:
-                seen.add((re, im))
-                result.append(gs(re, im))
-    return result
-
-
-def _gaussian_root_candidates(p: Poly) -> Iterable[GaussScalar]:
-    denom_lcm = 1
-    for c in p.coeffs:
-        for q in (c.re.denominator, c.im.denominator):
-            denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
-    scaled = [c * denom_lcm for c in p.coeffs]
-    const, lead = scaled[0], scaled[-1]
-    n_const = int(const.re * const.re + const.im * const.im)
-    n_lead = int(lead.re * lead.re + lead.im * lead.im)
-    if n_const > 10**8 or n_lead > 10**8:
-        raise ExactModeUnavailable(
-            "coefficients too large for Gaussian-integer root search"
-        )
-    denoms = _norm_candidates(n_lead)
-    for num in _norm_candidates(n_const):
-        for den in denoms:
-            yield num / den
-
-
-def _rational_root_candidates(p: Poly) -> Iterable[GaussScalar]:
-    if any(c.im for c in p.coeffs):
-        yield from _gaussian_root_candidates(p)
-        return
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.re.denominator // gcd(denom_lcm, c.re.denominator)
-    ints = [int(c.re * denom_lcm) for c in p.coeffs]
-    const, lead = ints[0], ints[-1]
-    if abs(const) > _FACTOR_SEARCH_LIMIT or abs(lead) > _FACTOR_SEARCH_LIMIT:
-        raise ExactModeUnavailable(
-            "coefficients too large for rational-root search"
-        )
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            yield gs(Fraction(num, den))
-            yield gs(Fraction(-num, den))
-
-
-def _quadratic_roots(p: Poly) -> list[GaussScalar] | None:
-    c0, c1, c2 = p.coeffs
-    disc = c1 * c1 - gs(4) * c2 * c0
-    s = gauss_sqrt(disc)
-    if s is None:
-        return None
-    two_a = gs(2) * c2
-    return [(-c1 + s) / two_a, (-c1 - s) / two_a]
 
 
 def poly_roots(p: Poly, mode: str = "exact"):
     """All roots of p with multiplicities.
 
     Exact mode returns GaussScalar roots whose multiplicities sum to the
-    degree, or raises ExactModeUnavailable when the polynomial does not split
-    over the Gaussian rationals within the search (degree <= 2 closed forms
-    plus rational-root candidates).  Numeric mode returns complex floats from
-    companion-matrix eigenvalues with Newton polishing, clustered into
-    multiplicities; each returned root satisfies the residual bound
-    |p(root)| <= 1e-8 * max|c_i| * max(1, |root|)^degree.
+    degree, or raises ExactModeUnavailable when p does not split over the
+    Gaussian rationals.  Past degree 1 it takes the squarefree part s of p
+    and scales it to Gaussian-integer coefficients with leading coefficient
+    L; by Gauss's lemma over Z[i], L*r is a Gaussian integer for every
+    Gaussian-rational root r.  Each Newton-polished float root z of s
+    gives the candidate round(L*z)/L, which is kept only if it is an exact
+    root, and divided out of p as often as it stays one.  When a root of p
+    is left over, or s has a coefficient or a scaled root beyond float
+    range, exact mode is unavailable.
+
+    Numeric mode returns complex floats from companion-matrix eigenvalues
+    with Newton polishing, clustered into multiplicities; each returned root
+    satisfies the residual bound
+    |p(root)| <= 1e-8 * max|c_i| * max(1, |root|)^degree.  It raises
+    FloatOverflow when a coefficient or a coefficient ratio is beyond float
+    range.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -261,55 +200,54 @@ def poly_roots(p: Poly, mode: str = "exact"):
         return _numeric_roots(p)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    if p.degree < 1:
+        return []
+    if p.degree == 1:
+        return [(-p.coeffs[0] / p.coeffs[1], 1)]
 
     counts: dict[GaussScalar, int] = {}
-
-    def record(root: GaussScalar, mult: int = 1):
-        counts[root] = counts.get(root, 0) + mult
-
     work = p
-    while work.degree > 0:
-        if not work.coeffs[0]:
-            work = poly_divide_linear(work, GS_ZERO, 1)
-            record(GS_ZERO)
-            continue
-        if work.degree == 1:
-            record(-work.coeffs[0] / work.coeffs[1])
-            break
-        if work.degree == 2:
-            pair = _quadratic_roots(work)
-            if pair is None:
-                raise ExactModeUnavailable(
-                    "quadratic factor has no Gaussian-rational roots"
-                )
-            for r in pair:
-                record(r)
-            break
-        found = None
-        for cand in _rational_root_candidates(work):
-            if not work.eval(cand):
-                found = cand
-                break
-        if found is None:
-            raise ExactModeUnavailable(
-                f"no rational root found at degree {work.degree}"
-            )
-        while not work.eval(found):
-            work = poly_divide_linear(work, found, 1)
-            record(found)
-            if work.degree == 0:
-                break
+    for root in _rounded_roots(_squarefree_part(p)):
+        while work.degree > 0 and not work.eval(root):
+            work = poly_divide_linear(work, root)
+            counts[root] = counts.get(root, 0) + 1
+    if work.degree > 0:
+        raise ExactModeUnavailable(
+            f"{work.degree} roots are not Gaussian-rational"
+        )
     return sorted(counts.items(), key=lambda kv: (kv[0].re, kv[0].im))
 
 
-def _numeric_roots(p: Poly) -> list[tuple[complex, int]]:
+def _rounded_roots(s: Poly) -> list[GaussScalar]:
+    """round(L*z)/L for every polished float root z of s (see poly_roots)."""
+    denom = lcm(*(q for c in s.coeffs for q in (c.re.denominator,
+                                                 c.im.denominator)))
+    lead = s.leading() * denom
+    try:
+        scaled = [complex(lead) * z for z in _polished_roots(s)]
+    except FloatOverflow as exc:
+        raise ExactModeUnavailable(f"cannot locate roots in floats ({exc})")
+    if not all(cmath.isfinite(w) for w in scaled):
+        raise ExactModeUnavailable("a scaled root is beyond float range")
+    return [gs(round(w.real), round(w.imag)) / lead for w in scaled]
+
+
+def _polished_roots(p: Poly) -> list[complex]:
+    """Companion-matrix roots of p, each tightened by Newton steps."""
     coeffs = np.array([complex(c) for c in reversed(p.coeffs)])
     deriv = np.polyder(coeffs)
+    try:
+        found = np.roots(coeffs)
+    except np.linalg.LinAlgError:  # a coefficient ratio overflowed
+        found = ()
+    if len(found) != p.degree:  # or the leading coefficient underflowed
+        raise FloatOverflow(
+            "coefficient ratios are beyond the range of a complex float"
+        )
     polished = []
-    for z in np.roots(coeffs):
-        # Newton steps tighten companion-matrix output; keep the smallest
-        # residual seen, since iterates near multiple roots sink below the
-        # evaluation-noise floor and then wander
+    for z in found:
+        # keep the smallest residual seen, since iterates near multiple
+        # roots sink below the evaluation-noise floor and then wander
         best, best_res = z, abs(np.polyval(coeffs, z))
         for _ in range(20):
             pv = np.polyval(coeffs, z)
@@ -323,8 +261,12 @@ def _numeric_roots(p: Poly) -> list[tuple[complex, int]]:
             res = abs(np.polyval(coeffs, z))
             if res < best_res:
                 best, best_res = z, res
-        polished.append(best)
-    raw = sorted(polished, key=lambda z: (z.real, z.imag))
+        polished.append(complex(best))
+    return polished
+
+
+def _numeric_roots(p: Poly) -> list[tuple[complex, int]]:
+    raw = sorted(_polished_roots(p), key=lambda z: (z.real, z.imag))
     scale = max(1.0, max(abs(z) for z in raw)) if len(raw) else 1.0
     tol = 1e-6 * scale
     clusters: list[list[complex]] = []

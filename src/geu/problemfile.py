@@ -61,8 +61,7 @@ def parse_problem(doc: dict) -> PerturbationProblem:
     if doc.get("similarity") is not None:
         similarity = parse_matrix(doc["similarity"], "similarity")
     spec = JordanSpec(tuple(blocks), similarity)
-    for diag in validate_spec(spec):
-        raise ParseError(f"similarity: {diag.message}", field="similarity")
+    validate_spec(spec)
 
     _require("source" in doc and isinstance(doc["source"], dict),
              "missing source object", "source")

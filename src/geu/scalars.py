@@ -8,22 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .errors import ParseError
+from .errors import FloatOverflow, ParseError
 
 _FractionLike = (int, Fraction)
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,12 @@ class GaussScalar:
         return GaussScalar(self.re, -self.im)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise FloatOverflow(
+                "a scalar is beyond the range of a complex float"
+            ) from None
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -153,56 +146,33 @@ def gs(re=0, im=0) -> GaussScalar:
     return GaussScalar(Fraction(re), Fraction(im))
 
 
-def gauss_sqrt(z: GaussScalar) -> GaussScalar | None:
-    """A square root of z within the Gaussian rationals, or None.
-
-    For z = a+bi with b != 0: a root re+im*i needs re^2 = (a + |z|)/2 with
-    |z| rational, and im = b/(2 re); both conditions are checked exactly.
-    """
-    if not z.im:
-        r = rational_sqrt(z.re)
-        if r is not None:
-            return GaussScalar(r, Fraction(0))
-        r = rational_sqrt(-z.re)
-        if r is not None:
-            return GaussScalar(Fraction(0), r)
-        return None
-    mod = rational_sqrt(z.re * z.re + z.im * z.im)
-    if mod is None:
-        return None
-    re = rational_sqrt((z.re + mod) / 2)
-    if re is None or not re:
-        return None
-    return GaussScalar(re, z.im / (2 * re))
-
-
 # -- text encoding (CLI file formats) -------------------------------------
 
 
 def parse_scalar(obj, field: str = "value") -> GaussScalar:
-    """Parse 'p/q', an int, or {'re': 'p/q', 'im': 'p/q'} into a GaussScalar."""
+    """Parse 'p/q', an int, or {'re': 'p/q', 'im': 'p/q'} into a GaussScalar.
+
+    JSON floats and booleans are rejected, also as the parts of an object.
+    """
+    re, im = obj, 0
+    if isinstance(obj, dict):
+        extra = set(obj) - {"re", "im"}
+        if extra:
+            raise ParseError(
+                f"{field}: unexpected keys {sorted(extra)}", field=field
+            )
+        re, im = obj.get("re", "0"), obj.get("im", "0")
+    for part in (re, im):
+        if type(part) not in (str, int):  # bool is a subclass of int
+            raise ParseError(
+                f"{field}: expected 'p/q' string or {{re, im}} object, "
+                f"got {type(part).__name__}",
+                field=field,
+            )
     try:
-        if isinstance(obj, str):
-            return GaussScalar(Fraction(obj), Fraction(0))
-        if isinstance(obj, int):
-            return GaussScalar(Fraction(obj), Fraction(0))
-        if isinstance(obj, dict):
-            re = Fraction(obj.get("re", "0"))
-            im = Fraction(obj.get("im", "0"))
-            extra = set(obj) - {"re", "im"}
-            if extra:
-                raise ParseError(
-                    f"{field}: unexpected keys {sorted(extra)}", field=field
-                )
-            return GaussScalar(re, im)
-    except ParseError:
-        raise
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return GaussScalar(Fraction(re), Fraction(im))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{field}: not a rational scalar ({exc})", field=field)
-    raise ParseError(
-        f"{field}: expected 'p/q' string or {{re, im}} object, got {type(obj).__name__}",
-        field=field,
-    )
 
 
 def encode_scalar(z: GaussScalar):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import geu
 from geu.cli import main
 from geu.errors import ParseError
 from geu.problemfile import (
@@ -237,10 +242,10 @@ def test_verify_vector_length(tmp_path):
         assert "expected 2" in err
 
 
-def _one_block_doc(size=1, block=0, rank=1):
+def _one_block_doc(size=1, block=0, rank=1, eigenvalue="2", b=("1",)):
     return {
-        "blocks": [{"eigenvalue": "2", "size": size}],
-        "b": ["1"],
+        "blocks": [{"eigenvalue": eigenvalue, "size": size}],
+        "b": list(b),
         "source": {"block": block, "rank": rank},
     }
 
@@ -248,12 +253,57 @@ def _one_block_doc(size=1, block=0, rank=1):
 def test_parse_problem_rejects_booleans(tmp_path):
     for kwargs, field in (({"size": True}, "blocks[0].size"),
                           ({"block": False}, "source.block"),
-                          ({"rank": True}, "source.rank")):
+                          ({"rank": True}, "source.rank"),
+                          ({"eigenvalue": True}, "blocks[0].eigenvalue"),
+                          ({"b": [False]}, "b[0]"),
+                          ({"b": [{"re": "1", "im": True}]}, "b[0]")):
         with pytest.raises(ParseError) as exc:
             parse_problem(_one_block_doc(**kwargs))
         assert exc.value.field == field
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(_one_block_doc(size=True, rank=True)))
-    code, _, err = run_cli("compute", str(path))
-    assert code == 2
-    assert "blocks[0].size" in err
+    for doc, field in ((_one_block_doc(size=True, rank=True),
+                        "blocks[0].size"),
+                       (_one_block_doc(size=2, eigenvalue=True,
+                                       b=[True, False]),
+                        "blocks[0].eigenvalue")):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("compute", str(path))
+        assert code == 2 and out == ""
+        assert field in err
+
+
+def test_scalar_beyond_float_range(tmp_path):
+    doc = {"blocks": [{"eigenvalue": "0", "size": 3}],
+           "source": {"block": 0, "rank": 2}, "b": ["1e400", "3", "0"]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("exact", "float"):
+        code, out, err = run_cli("compute", str(path), "--mode", mode)
+        assert code == 2 and out == ""
+        assert "beyond the range" in err
+    # with rank 1 the update factor is linear and needs no floats
+    doc["source"]["rank"] = 1
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("compute", str(path))
+    assert code == 0 and json.loads(out)["status"] == "PASS"
+
+
+def test_root_finding_is_time_bounded(tmp_path):
+    # f = t^3 + t/D + 1: clearing denominators gives D t^3 + t + D, whose
+    # divisor pairs a rational-root search would have to enumerate
+    doc = {"blocks": [{"eigenvalue": "0", "size": 4}],
+           "source": {"block": 0, "rank": 3},
+           "b": ["-1", "-1/735134400", "0", "0"]}
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(doc))
+    src = Path(geu.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "geu", "compute", str(path)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "PASS"
+    assert rep["f"]["monomial"] == ["1", "1/735134400", "0", "1"]
+    assert [e.get("numeric") for e in rep["new_eigenvalues"]] == [True] * 3

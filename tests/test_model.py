@@ -1,7 +1,7 @@
 import pytest
 
 from geu import linalg
-from geu.errors import LocatorOutOfRange, SingularSimilarity
+from geu.errors import LocatorOutOfRange, ParseError, SingularSimilarity
 from geu.model import (
     ChainLocator,
     JordanBlock,
@@ -106,17 +106,22 @@ def test_char_poly_of_spec(worked):
 
 
 def test_validate_spec(worked):
-    assert validate_spec(worked.spec) == []
-    assert [d.code for d in validate_spec(JordanSpec(()))] == ["EmptyBlocks"]
+    validate_spec(worked.spec)
+    with pytest.raises(ParseError, match="no Jordan blocks"):
+        validate_spec(JordanSpec(()))
     wrong_dim = JordanSpec(
         (JordanBlock(gs(1), 2),), ((GS_ONE,),)
     )
-    assert [d.code for d in validate_spec(wrong_dim)] == ["DimensionMismatch"]
+    with pytest.raises(ParseError, match="1x1, expected 2x2") as exc:
+        validate_spec(wrong_dim)
+    assert exc.value.field == "similarity"
     singular = JordanSpec(
         (JordanBlock(gs(1), 2),),
         tuple((GS_ZERO, GS_ZERO) for _ in range(2)),
     )
-    assert [d.code for d in validate_spec(singular)] == ["SingularSimilarity"]
+    with pytest.raises(ParseError, match="singular") as exc:
+        validate_spec(singular)
+    assert exc.value.field == "similarity"
 
 
 def test_chain_basis_similarity_columns(worked):

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from geu.errors import ExactModeUnavailable, NotDivisible, ZeroPolynomial
+from geu.errors import (
+    ExactModeUnavailable,
+    FloatOverflow,
+    NotDivisible,
+    ZeroPolynomial,
+)
 from geu.poly import (
     Poly,
     distinct_root_count,
@@ -83,9 +88,54 @@ def test_roots_unavailable():
     # t^3 - 2 has no rational roots
     with pytest.raises(ExactModeUnavailable):
         poly_roots(Poly.of([-2, 0, 0, 1]))
-    # t^2 - 2 fails the quadratic closed form over Gaussian rationals
+    # t^2 - 2 has the irrational roots +-sqrt(2)
     with pytest.raises(ExactModeUnavailable):
         poly_roots(Poly.of([-2, 0, 1]))
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=12)
+root_multisets = st.dictionaries(
+    st.builds(gs, small_fractions, small_fractions),
+    st.integers(1, 3),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(root_multisets)
+@example({gs("1/1000"): 1, gs("1/1001"): 1})
+@example({gs("1/1000"): 2, gs("1/1001"): 3, gs(0): 1})
+def test_roots_round_trip(roots):
+    p = Poly.one()
+    for root, mult in roots.items():
+        p = p * Poly.linear(root) ** mult
+    want = sorted(roots.items(), key=lambda kv: (kv[0].re, kv[0].im))
+    assert poly_roots(p) == want
+    assert poly_roots(p.scale(gs("7/3", -2))) == want
+
+
+def test_roots_large_gaussian():
+    # constant term of norm ~1e19 and a leading coefficient of norm ~1e9
+    roots = [gs(98765, -43210), gs("12345/7", "-6789/11"), gs(-3, 1)]
+    p = Poly.one()
+    for root in roots:
+        p = p * Poly.linear(root)
+    p = p.scale(gs(20011, 30011))
+    assert poly_roots(p) == sorted(
+        ((r, 1) for r in roots), key=lambda kv: (kv[0].re, kv[0].im)
+    )
+
+
+def test_roots_beyond_float_range():
+    # a coefficient too large for a float, then 10^300 + 10^-300 t^2, whose
+    # companion matrix entry 10^600 overflows
+    for p in (Poly.of([10**400, 3, 1]),
+              Poly.of([10**300, 0, Fraction(1, 10**300)])):
+        with pytest.raises(ExactModeUnavailable):
+            poly_roots(p)
+        with pytest.raises(FloatOverflow):
+            poly_roots(p, mode="numeric")
 
 
 def test_roots_numeric():

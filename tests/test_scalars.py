@@ -10,10 +10,8 @@ from geu.scalars import (
     GS_ZERO,
     GaussScalar,
     encode_scalar,
-    gauss_sqrt,
     gs,
     parse_scalar,
-    rational_sqrt,
 )
 
 fractions = st.fractions(
@@ -75,23 +73,8 @@ def test_parse_forms():
         parse_scalar(1.5)
     with pytest.raises(ParseError):
         parse_scalar({"re": "1", "bogus": "2"})
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-
-
-@given(scalars)
-def test_gauss_sqrt_squares(z):
-    root = gauss_sqrt(z * z)
-    assert root is not None
-    assert root * root == z * z
-
-
-def test_gauss_sqrt_cases():
-    assert gauss_sqrt(gs(-4)) == gs(0, 2)
-    assert gauss_sqrt(gs(0, 2)) in (gs(1, 1), gs(-1, -1))
-    assert gauss_sqrt(gs(2)) is None
-    assert gauss_sqrt(gs(1, 1)) is None
+    # JSON booleans and floats are not exact scalars, also inside an object
+    for bad in (True, False, {"re": True}, {"re": "1", "im": 0.5},
+                {"im": float("inf")}):
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
