@@ -102,9 +102,7 @@ def cmd_verify(args) -> int:
         "message": verdict.message,
     }
     if verdict.ok:
-        doc["ranks"] = [
-            oracle.generalized_rank(matrix, eig, v) for v in vectors
-        ]
+        doc["ranks"] = oracle.chain_ranks(matrix, eig, vectors)
     _emit(doc, args.output)
     return 0 if verdict.ok else 1
 

@@ -2,7 +2,8 @@
 
 Matrices are tuples of row tuples, vectors are tuples.  Everything here is
 plain Gaussian elimination over an exact field; sizes are desk-scale so no
-attempt is made at fraction-free cleverness.
+attempt is made at fraction-free cleverness.  Products and eliminations skip
+zero entries, which Jordan matrices and their similarities are full of.
 """
 from __future__ import annotations
 
@@ -68,18 +69,21 @@ def mat_scale(s: GaussScalar, a: Matrix) -> Matrix:
     return tuple(vec_scale(s, r) for r in a)
 
 
+def _dot(row: Vector, v: Vector) -> GaussScalar:
+    acc = GS_ZERO
+    for x, y in zip(row, v):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        sum((x * y for x, y in zip(row, v)), GS_ZERO) for row in a
-    )
+    return tuple(_dot(row, v) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), GS_ZERO) for col in bt)
-        for row in a
-    )
+    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
 
 
 def outer_conj(x: Vector, b: Vector) -> Matrix:
@@ -88,12 +92,11 @@ def outer_conj(x: Vector, b: Vector) -> Matrix:
     return tuple(tuple(xi * bj for bj in bc) for xi in x)
 
 
-def trace(a: Matrix) -> GaussScalar:
-    return sum((a[i][i] for i in range(len(a))), GS_ZERO)
-
-
 def _eliminate(rows: list[list[GaussScalar]], ncols: int) -> tuple[int, int]:
-    """In-place forward elimination; returns (rank, sign of row swaps)."""
+    """In-place forward elimination; returns (rank, sign of row swaps).
+
+    Rows from the rank on are zero in the first ncols columns afterwards.
+    """
     nrows = len(rows)
     sign = 1
     rank = 0
@@ -108,24 +111,29 @@ def _eliminate(rows: list[list[GaussScalar]], ncols: int) -> tuple[int, int]:
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             sign = -sign
-        pv = rows[rank][col]
+        prow = rows[rank]
+        pv = prow[col]
+        nonzero = [c for c in range(col + 1, len(prow)) if prow[c]]
         for r in range(rank + 1, nrows):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                for c in range(col, len(rows[r])):
-                    rows[r][c] = rows[r][c] - f * rows[rank][c]
+            row = rows[r]
+            if row[col]:
+                f = row[col] / pv
+                row[col] = GS_ZERO
+                for c in nonzero:
+                    row[c] = row[c] - f * prow[c]
         rank += 1
         if rank == nrows:
             break
     return rank, sign
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    r, _ = _eliminate(rows, len(a[0]))
-    return r
+def row_basis(vectors: Sequence[Vector]) -> list[Vector]:
+    """Echelon basis of the span of the vectors (empty for zero span)."""
+    if not vectors:
+        return []
+    rows = [list(v) for v in vectors]
+    r, _ = _eliminate(rows, len(rows[0]))
+    return [tuple(row) for row in rows[:r]]
 
 
 def det(a: Matrix) -> GaussScalar:

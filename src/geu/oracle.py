@@ -2,13 +2,13 @@
 
 Nothing here reuses the closed-form route: the updated matrix is assembled
 directly, chains are checked by matrix-vector products, the characteristic
-polynomial comes from Faddeev-LeVerrier, and Jordan structure is recovered
-from rank sequences of powers.
+polynomial comes from an exact Hessenberg reduction and its recurrence, and
+Jordan structure is recovered from the rank sequence of powers of
+M - eig I, each rank the dimension of N range(N^{k-1}).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import IncompleteSpectrum, ZeroVector
@@ -63,40 +63,106 @@ def verify_chain(
     return ChainVerdict(True)
 
 
+def chain_ranks(
+    m: Matrix, eigenvalue: GaussScalar, vectors: list[Vector]
+) -> list[int | None]:
+    """generalized_rank of each vector, with N = M - eig I built once.
+
+    When N v_t equals v_{t-1} (nonzero) of rank k < n, then N^j v_t =
+    N^{j-1} v_{t-1} gives rank(v_t) = k + 1 without walking; every other
+    vector walks N^k v in full.
+    """
+    n = len(m)
+    shifted = _shifted(m, eigenvalue)
+    ranks = []
+    prev = prev_rank = None
+    for v in vectors:
+        if linalg.vec_is_zero(v):
+            raise ZeroVector("generalized rank of the zero vector is undefined")
+        w = linalg.mat_vec(shifted, v)
+        if prev_rank is not None and prev_rank < n and w == prev:
+            rank = prev_rank + 1
+        else:
+            rank = None
+            for k in range(1, n + 1):
+                if linalg.vec_is_zero(w):
+                    rank = k
+                    break
+                w = linalg.mat_vec(shifted, w)
+        ranks.append(rank)
+        prev, prev_rank = v, rank
+    return ranks
+
+
 def generalized_rank(
     m: Matrix, eigenvalue: GaussScalar, v: Vector
 ) -> int | None:
     """Smallest k <= n with (M - eig I)^k v = 0, or None."""
-    if linalg.vec_is_zero(v):
-        raise ZeroVector("generalized rank of the zero vector is undefined")
-    n = len(m)
-    shifted = linalg.mat_sub(m, _scalar_matrix(eigenvalue, n))
-    w = v
-    for k in range(1, n + 1):
-        w = linalg.mat_vec(shifted, w)
-        if linalg.vec_is_zero(w):
-            return k
-    return None
+    return chain_ranks(m, eigenvalue, [v])[0]
 
 
-def _scalar_matrix(s: GaussScalar, n: int) -> Matrix:
+def _shifted(m: Matrix, s: GaussScalar) -> Matrix:
+    """M - s I."""
     return tuple(
-        tuple(s if i == j else GS_ZERO for j in range(n)) for i in range(n)
+        tuple(x - s if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(m)
     )
 
 
 def char_poly_direct(m: Matrix) -> Poly:
-    """det(tI - M) via the Faddeev-LeVerrier recursion (exact divisions)."""
+    """det(tI - M) by exact Hessenberg reduction and its recurrence.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9.
+    Each step is a similarity: swap row and column p with a later pair to
+    bring a nonzero entry under the diagonal, then subtract u times row p
+    from row i and add u times column i to column p.  det(tI - H) of the
+    upper Hessenberg H then follows from the leading principal minors.
+    """
     n = len(m)
-    coeffs = [GS_ZERO] * (n + 1)
-    coeffs[n] = GS_ONE
-    aux = linalg.identity(n)
+    h = [list(row) for row in m]
+    for c in range(n - 2):
+        p = c + 1
+        pivot = next((i for i in range(p, n) if h[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != p:
+            h[p], h[pivot] = h[pivot], h[p]
+            for row in h:
+                row[p], row[pivot] = row[pivot], row[p]
+        hp = h[p]
+        t = hp[c]
+        for i in range(p + 1, n):
+            hi = h[i]
+            if not hi[c]:
+                continue
+            u = hi[c] / t
+            hi[c] = GS_ZERO
+            for j in range(c + 1, n):
+                if hp[j]:
+                    hi[j] = hi[j] - u * hp[j]
+            for row in h:
+                if row[i]:
+                    row[p] = row[p] + u * row[i]
+    # minors[k] = det(tI - H[:k, :k]), coefficients low degree first
+    minors = [[GS_ONE]]
     for k in range(1, n + 1):
-        mk = linalg.mat_mul(m, aux)
-        c = -linalg.trace(mk) / GaussScalar.from_rational(k)
-        coeffs[n - k] = c
-        aux = linalg.mat_add(mk, _scalar_matrix(c, n))
-    return Poly(tuple(coeffs))
+        prev = minors[k - 1]
+        d = h[k - 1][k - 1]
+        q = [GS_ZERO] + prev
+        if d:
+            for j, c in enumerate(prev):
+                q[j] = q[j] - d * c
+        sub = GS_ONE  # product of the subdiagonal h[i][i-1] .. h[k-1][k-2]
+        for i in range(k - 1, 0, -1):
+            sub = sub * h[i][i - 1]
+            if not sub:
+                break
+            coef = h[i - 1][k - 1] * sub
+            if coef:
+                for j, c in enumerate(minors[i - 1]):
+                    q[j] = q[j] - coef * c
+        minors.append(q)
+    return Poly(tuple(minors[n]))
 
 
 def jordan_structure(
@@ -104,9 +170,10 @@ def jordan_structure(
 ) -> JordanStructure:
     """Block sizes per eigenvalue from the rank-drop (Weyr) sequence.
 
-    The drop sequence of ranks of (M - eig I)^k is a partition whose
-    conjugate is the block-size multiset.  Requires the eigenvalue list to
-    cover the whole spectrum.
+    The drop sequence of ranks of N^k, N = M - eig I, is a partition whose
+    conjugate is the block-size multiset.  rank(N^k) is the dimension of
+    N range(N^{k-1}), so only a row basis of the previous images is kept.
+    Requires the eigenvalue list to cover the whole spectrum.
     """
     n = len(m)
     entries = []
@@ -116,15 +183,15 @@ def jordan_structure(
         if eig in seen:
             continue
         seen.append(eig)
-        shifted = linalg.mat_sub(m, _scalar_matrix(eig, n))
+        shifted = _shifted(m, eig)
         ranks = [n]
-        power = linalg.identity(n)
+        images = list(zip(*shifted))  # N e_j spans range(N)
         while True:
-            power = linalg.mat_mul(power, shifted)
-            r = linalg.rank(power)
-            ranks.append(r)
-            if r == ranks[-2]:
+            basis = linalg.row_basis(images)
+            ranks.append(len(basis))
+            if ranks[-1] == ranks[-2]:
                 break
+            images = [linalg.mat_vec(shifted, v) for v in basis]
         drops = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         if not drops or drops[0] == 0:
             continue

@@ -81,14 +81,12 @@ def run_problem(
         entry["vectors"] = [_encode_chain_vector(cv) for cv in vectors]
         if not vectors:
             continue
-        verdict = oracle.verify_chain(
-            updated, vectors[0].eigenvalue, [cv.vector for cv in vectors]
-        )
-        ranks_ok = all(
-            oracle.generalized_rank(updated, cv.eigenvalue, cv.vector)
-            == cv.rank
-            for cv in vectors
-        )
+        eig = vectors[0].eigenvalue
+        chain = [cv.vector for cv in vectors]
+        verdict = oracle.verify_chain(updated, eig, chain)
+        ranks_ok = oracle.chain_ranks(updated, eig, chain) == [
+            cv.rank for cv in vectors
+        ]
         ok = verdict.ok and ranks_ok
         all_ok = all_ok and ok
         verdicts.append(

@@ -25,15 +25,11 @@ class GaussScalar:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def from_rational(cls, q) -> "GaussScalar":
-        return cls(Fraction(q), Fraction(0))
-
     def _coerce(self, other):
         if isinstance(other, GaussScalar):
             return other
         if isinstance(other, _FractionLike):
-            return GaussScalar.from_rational(other)
+            return _make(Fraction(other), _Q0)
         return NotImplemented
 
     # -- predicates --------------------------------------------------------
@@ -46,12 +42,14 @@ class GaussScalar:
         return not self.im
 
     # -- arithmetic --------------------------------------------------------
+    # Fraction arithmetic is canonical already, so results skip the
+    # coercion in __post_init__.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussScalar(self.re + o.re, self.im + o.im)
+        return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -59,7 +57,7 @@ class GaussScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussScalar(self.re - o.re, self.im - o.im)
+        return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -68,13 +66,13 @@ class GaussScalar:
         return o - self
 
     def __neg__(self):
-        return GaussScalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussScalar(
+        return _make(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -88,7 +86,7 @@ class GaussScalar:
         n = o.re * o.re + o.im * o.im
         if not n:
             raise ZeroDivisionError("division by zero GaussScalar")
-        return GaussScalar(
+        return _make(
             (self.re * o.re + self.im * o.im) / n,
             (self.im * o.re - self.re * o.im) / n,
         )
@@ -112,7 +110,7 @@ class GaussScalar:
         return out
 
     def conjugate(self) -> "GaussScalar":
-        return GaussScalar(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def __complex__(self) -> complex:
         try:
@@ -135,6 +133,16 @@ class GaussScalar:
         if not self.im:
             return f"{self.re}"
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+_Q0 = Fraction(0)
+
+
+def _make(re: Fraction, im: Fraction) -> GaussScalar:
+    """A GaussScalar from two parts that are canonical Fractions already."""
+    z = object.__new__(GaussScalar)
+    z.__dict__.update(re=re, im=im)
+    return z
 
 
 GS_ZERO = GaussScalar(Fraction(0), Fraction(0))
@@ -169,10 +177,31 @@ def parse_scalar(obj, field: str = "value") -> GaussScalar:
                 f"got {type(part).__name__}",
                 field=field,
             )
+        if type(part) is str and ("e" in part or "E" in part):
+            _check_exponent(part, field)
     try:
         return GaussScalar(Fraction(re), Fraction(im))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{field}: not a rational scalar ({exc})", field=field)
+
+
+# Fraction("1e<exp>") builds 10**|exp| before any check; CPython already
+# refuses int strings longer than this many digits (sys.int_info).
+_MAX_EXPONENT = 4300
+
+
+def _check_exponent(text: str, field: str) -> None:
+    """ParseError for a decimal exponent beyond +-_MAX_EXPONENT."""
+    try:
+        exponent = int(text.replace("E", "e").rpartition("e")[2])
+    except ValueError:
+        return  # not a plain exponent; Fraction decides
+    if abs(exponent) > _MAX_EXPONENT:
+        raise ParseError(
+            f"{field}: decimal exponent {exponent} is beyond "
+            f"+-{_MAX_EXPONENT}",
+            field=field,
+        )
 
 
 def encode_scalar(z: GaussScalar):

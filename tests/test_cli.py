@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ import pytest
 import geu
 from geu.cli import main
 from geu.errors import ParseError
+from geu.fuzz import random_problem
 from geu.problemfile import (
     encode_problem,
     parse_eigenvalue_arg,
@@ -307,3 +309,23 @@ def test_root_finding_is_time_bounded(tmp_path):
     assert rep["status"] == "PASS"
     assert rep["f"]["monomial"] == ["1", "1/735134400", "0", "1"]
     assert [e.get("numeric") for e in rep["new_eigenvalues"]] == [True] * 3
+
+
+def test_exact_oracles_at_n24_are_time_bounded(tmp_path):
+    # a 24x24 similarity problem whose update factor splits, so every oracle
+    # runs: char poly, chain relations and ranks, and the Jordan structure
+    problem = random_problem(random.Random(230), 24)
+    assert problem.spec.n == 24 and problem.spec.similarity is not None
+    path = tmp_path / "n24.json"
+    path.write_text(json.dumps(encode_problem(problem)))
+    src = Path(geu.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "geu", "compute", str(path)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "PASS"
+    assert rep["oracle"]["char_poly_identity"]
+    assert rep["oracle"]["jordan_structure"] is not None

@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geu import linalg
-from geu.errors import IncompleteSpectrum, ZeroVector
+from geu.errors import ExactModeUnavailable, IncompleteSpectrum, ZeroVector
 from geu.fuzz import random_problem
 from geu.model import (
     ChainLocator,
@@ -13,13 +17,14 @@ from geu.model import (
 )
 from geu.oracle import (
     apply_update,
+    chain_ranks,
     char_poly_direct,
     generalized_rank,
     jordan_structure,
     verify_chain,
 )
-from geu.perturb import PerturbationProblem
-from geu.poly import Poly
+from geu.perturb import PerturbationProblem, update_char_factor
+from geu.poly import Poly, poly_roots
 from geu.scalars import GS_ONE, GS_ZERO, gs
 
 
@@ -105,9 +110,6 @@ def test_char_poly_integer_inputs_integer_coeffs(rng):
 
 
 def _try_roots(p):
-    from geu.errors import ExactModeUnavailable
-    from geu.poly import poly_roots
-
     try:
         return poly_roots(p)
     except ExactModeUnavailable:
@@ -131,12 +133,12 @@ def test_nullspace_properties(rng):
             tuple(gs(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)
         )
         basis = linalg.nullspace(m)
-        assert len(basis) == n - linalg.rank(m)
+        assert len(basis) == n - len(linalg.row_basis(m))
         for v in basis:
             assert linalg.vec_is_zero(linalg.mat_vec(m, v))
         if basis:
             stacked = tuple(basis)
-            assert linalg.rank(stacked) == len(basis)
+            assert len(linalg.row_basis(stacked)) == len(basis)
 
 
 def test_jordan_structure_worked(worked):
@@ -180,3 +182,164 @@ def test_jordan_structure_incomplete():
     )
     with pytest.raises(IncompleteSpectrum):
         jordan_structure(diag, [gs(1), gs(2)])
+
+
+# -- references for the O(n^3) oracles ---------------------------------------
+
+
+def _minus_scalar(m, s):
+    """M - s I."""
+    return linalg.mat_sub(m, linalg.mat_scale(s, linalg.identity(len(m))))
+
+
+def _faddeev_leverrier(m):
+    """det(tI - M) by the O(n^4) Faddeev-LeVerrier recursion."""
+    n = len(m)
+    coeffs = [GS_ZERO] * n + [GS_ONE]
+    aux = linalg.identity(n)
+    for k in range(1, n + 1):
+        mk = linalg.mat_mul(m, aux)
+        c = -sum((mk[i][i] for i in range(n)), GS_ZERO) / gs(k)
+        coeffs[n - k] = c
+        aux = _minus_scalar(mk, -c)
+    return Poly(tuple(coeffs))
+
+
+def _dense_power_structure(m, eigenvalues):
+    """Block sizes from ranks of dense powers (M - eig I)^k, or None when
+    the eigenvalues miss part of the spectrum."""
+    n = len(m)
+    out = []
+    for eig in dict.fromkeys(eigenvalues):
+        shifted = _minus_scalar(m, eig)
+        ranks = [n]
+        power = linalg.identity(n)
+        while True:
+            power = linalg.mat_mul(power, shifted)
+            ranks.append(n - len(linalg.nullspace(power)))
+            if ranks[-1] == ranks[-2]:
+                break
+        drops = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+        sizes = []
+        for k in range(1, len(drops)):
+            sizes.extend([k] * (drops[k - 1] - drops[k]))
+        out.extend((eig, s) for s in sizes)
+    if sum(s for _, s in out) != n:
+        return None
+    return sorted(out, key=lambda p: (p[0].re, p[0].im, -p[1]))
+
+
+def _walked_rank(m, eig, v):
+    """Smallest k <= n with (M - eig I)^k v = 0, or None."""
+    n = len(m)
+    shifted = _minus_scalar(m, eig)
+    for k in range(1, n + 1):
+        v = linalg.mat_vec(shifted, v)
+        if linalg.vec_is_zero(v):
+            return k
+    return None
+
+
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, "1/2", "-3/2"])
+_gauss = st.builds(gs, _entries, st.sampled_from([0, 0, 0, 1, "-1/3"]))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 7))
+    return tuple(
+        tuple(draw(_gauss) for _ in range(n)) for _ in range(n)
+    )
+
+
+def _matrix(rows):
+    return tuple(tuple(gs(x) for x in row) for row in rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_matrices())
+# the first column is zero under the diagonal except its last entry, so the
+# reduction must swap row and column 1 with row and column 3
+@example(_matrix([[1, 2, 0, 1], [0, 3, 1, 0], [0, 1, 0, 2], [5, 0, 1, 1]]))
+# every subdiagonal pivot is missing: a cyclic permutation
+@example(_matrix([[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]))
+# a column with nothing to eliminate, then an elimination in the next one
+@example(_matrix([[2, 1, 1, 0], [0, 2, 0, 1], [0, 1, 2, 0], [0, 3, 1, 2]]))
+def test_char_poly_matches_faddeev_leverrier(m):
+    assert char_poly_direct(m) == _faddeev_leverrier(m)
+
+
+def test_jordan_structure_matches_dense_powers():
+    rng = random.Random(4711)
+    for _ in range(40):
+        problem = random_problem(rng, 7, allow_complex=rng.random() < 0.3)
+        eigs = problem.spec.distinct_eigenvalues()
+        # one candidate that is not an eigenvalue contributes nothing
+        cases = [(problem.matrix, eigs + [gs(7, 1)])]
+        updated = apply_update(problem)
+        try:
+            f = update_char_factor(problem).f
+            roots = [r for r, _ in poly_roots(f, "exact")]
+            cases.append((updated, eigs + roots))
+        except ExactModeUnavailable:
+            pass
+        # a spectrum missing an eigenvalue raises IncompleteSpectrum
+        cases.append((problem.matrix, eigs[1:]))
+        for m, candidates in cases:
+            want = _dense_power_structure(m, candidates)
+            if want is None:
+                with pytest.raises(IncompleteSpectrum):
+                    jordan_structure(m, candidates)
+            else:
+                assert jordan_structure(m, candidates).block_multiset() == want
+
+
+def test_chain_ranks_match_single_vectors_on_broken_chains(worked):
+    a = apply_update(worked)
+    m = worked.matrix
+    x1, x2, x3, x4 = (
+        chain_vector(worked.spec, ChainLocator(0, j)) for j in range(1, 5)
+    )
+    y = chain_vector(worked.spec, ChainLocator(2, 1))  # eigenvalue 1
+    minus_y = linalg.vec_scale(gs(-1), y)  # (M - 2I)(-y) = y, rank None
+    chains = {
+        "intact": [x1, x2, x3, x4],
+        "scaled": [x1, x2, linalg.vec_scale(gs(2), x3), x4],
+        "swapped": [x1, x3, x2, x4],
+        "outside the eigenspace": [x1, y, minus_y, x2],
+        "two chains": [x1, x2, x1, x2, x3],
+    }
+    want = {
+        "intact": [1, 2, 3, 4],
+        "scaled": [1, 2, 3, 4],
+        "swapped": [1, 3, 2, 4],
+        "outside the eigenspace": [1, None, None, 2],
+        "two chains": [1, 2, 1, 2, 3],
+    }
+    for name, vectors in chains.items():
+        got = chain_ranks(m, gs(2), vectors)
+        assert got == want[name], name
+        assert got == [generalized_rank(m, gs(2), v) for v in vectors]
+        assert got == [_walked_rank(m, gs(2), v) for v in vectors]
+        # the updated matrix breaks the source chain's relation
+        got = chain_ranks(a, gs(2), vectors)
+        assert got == [generalized_rank(a, gs(2), v) for v in vectors]
+        assert got == [_walked_rank(a, gs(2), v) for v in vectors]
+    with pytest.raises(ZeroVector):
+        chain_ranks(m, gs(2), [x1, linalg.zero_vector(11), x2])
+
+
+def test_chain_ranks_match_single_vectors_random(rng):
+    for _ in range(30):
+        problem = random_problem(rng, 7)
+        m = problem.matrix
+        chain = [problem.source_chain(j) for j in range(1, problem.r + 1)]
+        vectors = list(chain)
+        i = rng.randrange(len(vectors))
+        k = rng.randrange(len(vectors))
+        vectors[i], vectors[k] = vectors[k], vectors[i]
+        vectors.append(linalg.vec_scale(gs(3), chain[-1]))
+        vectors.append(linalg.vec_add(chain[0], problem.b))
+        for eig in (problem.lam, problem.lam + gs(1)):
+            got = chain_ranks(m, eig, vectors)
+            assert got == [_walked_rank(m, eig, v) for v in vectors]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,3 +79,15 @@ def test_parse_forms():
                 {"im": float("inf")}):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+def test_parse_bounds_decimal_exponent():
+    # Fraction would build 10**10000000 before any check
+    start = time.perf_counter()
+    for bad in ("1e10000000", "1E-10000000", "-2.5e4301", {"im": "1e9999"}):
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+    assert time.perf_counter() - start < 0.5
+    assert parse_scalar("1e400") == gs(10**400)
+    assert parse_scalar("1e-4300") == gs(Fraction(1, 10**4300))
+    assert parse_scalar("-2.5E+3") == gs(-2500)
