@@ -26,7 +26,9 @@ def spec_matrices(problem: PerturbationProblem):
         off += block.size
     if spec.similarity is None:
         return j, np.eye(n, dtype=complex)
-    s = np.array([[complex(v) for v in row] for row in spec.similarity])
+    s = np.array(
+        [[complex(v) if v else 0j for v in row] for row in spec.similarity]
+    )
     return s @ j @ np.linalg.inv(s), s
 
 

@@ -2,8 +2,9 @@
 
 Matrices are tuples of row tuples, vectors are tuples.  Everything here is
 plain Gaussian elimination over an exact field; sizes are desk-scale so no
-attempt is made at fraction-free cleverness.  Products and eliminations skip
-zero entries, which Jordan matrices and their similarities are full of.
+attempt is made at fraction-free cleverness.  Products, eliminations and
+conj_dot skip zero entries, which Jordan matrices and their similarities are
+full of.
 """
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ def conj_dot(b: Vector, x: Vector) -> GaussScalar:
     """b* x = sum conj(b_i) x_i."""
     acc = GS_ZERO
     for p, q in zip(b, x):
-        acc = acc + p.conjugate() * q
+        if p and q:
+            acc = acc + p.conjugate() * q
     return acc
 
 

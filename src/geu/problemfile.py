@@ -2,6 +2,8 @@
 
 All scalars are exact: 'p/q' strings for rationals, {re, im} objects for
 complex values.  Floats are rejected so golden outputs stay bit-exact.
+A repeated scalar text (a 'p/q' string or a JSON integer) is parsed once per
+document: similarities are mostly zeros drawn from a handful of texts.
 """
 from __future__ import annotations
 
@@ -25,16 +27,32 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def parse_vector(obj, field: str) -> Vector:
+def parse_vector(obj, field: str, memo: dict) -> Vector:
+    """The scalars of a JSON list.
+
+    memo maps (type, value) of each 'p/q' string or integer parsed so far in
+    the document to its GaussScalar.  Anything else, and every miss, goes
+    through parse_scalar, so what it rejects is rejected at its own index.
+    """
     _require(isinstance(obj, list), "expected a list of scalars", field)
-    return tuple(
-        parse_scalar(v, field=f"{field}[{i}]") for i, v in enumerate(obj)
-    )
+    out = []
+    for i, v in enumerate(obj):
+        t = type(v)
+        if t is str or t is int:  # not bool, float or {re, im}
+            z = memo.get((t, v))
+            if z is None:
+                z = memo[t, v] = parse_scalar(v, field=f"{field}[{i}]")
+        else:
+            z = parse_scalar(v, field=f"{field}[{i}]")
+        out.append(z)
+    return tuple(out)
 
 
-def parse_matrix(obj, field: str) -> Matrix:
+def parse_matrix(obj, field: str, memo: dict) -> Matrix:
     _require(isinstance(obj, list) and obj, "expected a list of rows", field)
-    rows = tuple(parse_vector(r, f"{field}[{i}]") for i, r in enumerate(obj))
+    rows = tuple(
+        parse_vector(r, f"{field}[{i}]", memo) for i, r in enumerate(obj)
+    )
     width = len(rows[0])
     _require(
         all(len(r) == width for r in rows), "ragged rows", field
@@ -57,9 +75,10 @@ def parse_problem(doc: dict) -> PerturbationProblem:
                  "size must be a positive integer", f"{field}.size")
         eig = parse_scalar(raw.get("eigenvalue", "0"), f"{field}.eigenvalue")
         blocks.append(JordanBlock(eig, size))
+    memo = {}
     similarity = None
     if doc.get("similarity") is not None:
-        similarity = parse_matrix(doc["similarity"], "similarity")
+        similarity = parse_matrix(doc["similarity"], "similarity", memo)
     spec = JordanSpec(tuple(blocks), similarity)
     validate_spec(spec)
 
@@ -77,7 +96,7 @@ def parse_problem(doc: dict) -> PerturbationProblem:
              f"exceeds block size {blocks[block_index].size}", "source.rank")
 
     _require("b" in doc, "missing", "b")
-    b = parse_vector(doc["b"], "b")
+    b = parse_vector(doc["b"], "b", memo)
     _require(len(b) == spec.n, f"length {len(b)}, expected {spec.n}", "b")
     return PerturbationProblem(spec, ChainLocator(block_index, rank), b)
 
@@ -118,7 +137,7 @@ def encode_problem(problem: PerturbationProblem) -> dict:
 
 
 def load_matrix(path: str) -> Matrix:
-    m = parse_matrix(_read_json(path), "matrix")
+    m = parse_matrix(_read_json(path), "matrix", {})
     _require(len(m) == len(m[0]), "matrix must be square", "matrix")
     return m
 
@@ -127,7 +146,8 @@ def load_vectors(path: str) -> list[Vector]:
     doc = _read_json(path)
     _require(isinstance(doc, list) and doc, "expected a list of vectors",
              "vectors")
-    return [parse_vector(v, f"vectors[{i}]") for i, v in enumerate(doc)]
+    memo = {}
+    return [parse_vector(v, f"vectors[{i}]", memo) for i, v in enumerate(doc)]
 
 
 def parse_eigenvalue_arg(text: str) -> GaussScalar:

@@ -10,15 +10,17 @@ from pathlib import Path
 import pytest
 
 import geu
+from geu import problemfile
 from geu.cli import main
 from geu.errors import ParseError
 from geu.fuzz import random_problem
+from geu.model import JordanBlock, JordanSpec
 from geu.problemfile import (
     encode_problem,
     parse_eigenvalue_arg,
     parse_problem,
 )
-from geu.scalars import encode_scalar, gs
+from geu.scalars import encode_scalar, gs, parse_scalar
 from geu.worked import worked_problem
 
 
@@ -272,6 +274,66 @@ def test_parse_problem_rejects_booleans(tmp_path):
         code, out, err = run_cli("compute", str(path))
         assert code == 2 and out == ""
         assert field in err
+
+
+def test_repeated_scalars_are_still_validated(tmp_path):
+    # each bad value follows a valid parse of an equal text or number
+    two = _one_block_doc(size=2, b=("1", "0"))
+    cases = [
+        (dict(two, similarity=[[1, True], [0, 1]]), "similarity[0][1]"),
+        (dict(two, similarity=[["1", "0"], ["0", 1.0]]), "similarity[1][1]"),
+    ]
+    for b, field in ((["1", 1, True], "b[2]"), ([1, 1, 1.0], "b[2]"),
+                     (["1e300", "1e300", "1e4301"], "b[2]"),
+                     (["1", "1e4301", "1e4301"], "b[1]")):
+        cases.append((_one_block_doc(size=3, b=b), field))
+    for doc, field in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_problem(doc)
+        assert exc.value.field == field
+    matrix_path, vec_path = _verify_files(
+        tmp_path, [["2", "0"], ["0", "2"]], [["1", "0"], ["1", True]])
+    code, out, err = run_cli("verify", "--matrix", matrix_path,
+                             "--eigenvalue", "2", "--vectors", vec_path)
+    assert code == 2 and out == ""
+    assert "vectors[1][1]" in err
+
+
+def test_parse_problem_parses_each_distinct_scalar_once(monkeypatch):
+    rng = random.Random(5)
+    n = 60
+    texts = ["1", "-1", "2", "1/3", 3]
+    similarity = [
+        ["1" if i == j else rng.choice(texts) if j > i and rng.random() < 0.05
+         else "0" for j in range(n)]
+        for i in range(n)
+    ]
+    similarity[0], similarity[1] = similarity[1], similarity[0]
+    b = [rng.choice(["0", "0", "-2/7", 1]) for _ in range(n)]
+    doc = {"blocks": [{"eigenvalue": "2", "size": 40},
+                      {"eigenvalue": {"re": "0", "im": "1"}, "size": 20}],
+           "similarity": similarity, "b": b,
+           "source": {"block": 0, "rank": 3}}
+    calls = []
+
+    def counted(obj, field="value"):
+        calls.append(field)
+        return parse_scalar(obj, field)
+
+    monkeypatch.setattr(problemfile, "parse_scalar", counted)
+    problem = parse_problem(doc)
+    distinct = {(type(v), v) for row in similarity for v in row}
+    assert len(distinct) <= 10
+    bound = (len(distinct) + len({(type(v), v) for v in b})
+             + len(doc["blocks"]))
+    assert len(calls) <= bound
+    want = JordanSpec(
+        tuple(JordanBlock(parse_scalar(raw["eigenvalue"]), raw["size"])
+              for raw in doc["blocks"]),
+        tuple(tuple(parse_scalar(v) for v in row) for row in similarity),
+    )
+    assert problem.spec == want
+    assert problem.b == tuple(parse_scalar(v) for v in b)
 
 
 def test_scalar_beyond_float_range(tmp_path):

@@ -1,8 +1,13 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geu import chains, floatmode
 from geu.fuzz import random_problem
+from geu.model import ChainLocator, JordanBlock, JordanSpec, jordan_matrix
+from geu.perturb import PerturbationProblem
 from geu.report import run_problem
+from geu.scalars import gs
 
 
 def test_float_matches_exact_worked(worked):
@@ -36,3 +41,43 @@ def test_residual_scale_definition(worked):
     x = fp.source_chain(worked.m)
     want = np.linalg.norm(fp.a) + np.linalg.norm(x) * np.linalg.norm(fp.b)
     assert fp.residual_scale() == want
+
+
+_eigenvalues = st.builds(gs, st.sampled_from([0, 1, -2, "1/3"]),
+                         st.sampled_from([0, 0, 1]))
+_nonzero = st.builds(gs, st.sampled_from([1, -1, 2, "-3/2", "1e-3"]),
+                     st.sampled_from([0, 0, 0, "1/5"]))
+_sparse = st.one_of(st.just(gs(0)), st.just(gs(0)), st.just(gs(0)), _nonzero)
+
+
+@st.composite
+def _similar_problems(draw):
+    """A Jordan spec whose similarity is a row permutation of an upper
+    triangular matrix with a nonzero diagonal and mostly zeros above it."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    blocks = tuple(JordanBlock(draw(_eigenvalues), k) for k in sizes)
+    upper = [
+        [draw(_nonzero) if i == j else draw(_sparse) if j > i else gs(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    similarity = tuple(tuple(upper[i]) for i in order)
+    spec = JordanSpec(blocks, similarity)
+    return PerturbationProblem(spec, ChainLocator(0, 1), (gs(1),) * n)
+
+
+def _dense(m):
+    return np.array([[complex(v) for v in row] for row in m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_similar_problems())
+def test_spec_matrices_match_dense_conversion(problem):
+    a, s = floatmode.spec_matrices(problem)
+    want_s = _dense(problem.spec.similarity)
+    want_a = want_s @ _dense(jordan_matrix(problem.spec)) @ np.linalg.inv(
+        want_s)
+    assert s.dtype == want_s.dtype and np.array_equal(s, want_s)
+    assert np.array_equal(a, want_a)

@@ -294,6 +294,20 @@ def test_jordan_structure_matches_dense_powers():
                 assert jordan_structure(m, candidates).block_multiset() == want
 
 
+_sparse_gauss = st.one_of(st.just(GS_ZERO), _gauss)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_sparse_gauss, _sparse_gauss), max_size=12))
+def test_conj_dot_matches_dense_sum(pairs):
+    dense = GS_ZERO
+    for p, q in pairs:
+        dense = dense + p.conjugate() * q
+    b = tuple(p for p, _ in pairs)
+    x = tuple(q for _, q in pairs)
+    assert linalg.conj_dot(b, x) == dense
+
+
 def test_chain_ranks_match_single_vectors_on_broken_chains(worked):
     a = apply_update(worked)
     m = worked.matrix
