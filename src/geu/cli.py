@@ -21,8 +21,11 @@ from .scalars import encode_scalar
 def _emit(doc: dict, output: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise GeuError(f"{output}: {exc.strerror}")
     else:
         print(text)
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from . import linalg, report
+from .errors import GeuError
 from .model import ChainLocator, JordanBlock, JordanSpec
 from .perturb import PerturbationProblem
 from .scalars import gs
@@ -64,6 +65,9 @@ def _random_unimodular(rng: random.Random, n: int):
 
 def run_fuzz(seed: int, count: int, n_max: int = 8) -> dict:
     """Deterministic fuzz sweep; returns counts and sorted failure indices."""
+    if n_max < 2 or count < 0:
+        raise GeuError(f"fuzz needs n_max >= 2 and count >= 0, got "
+                       f"n_max={n_max}, count={count}")
     rng = random.Random(seed)
     passes = 0
     degenerate = 0

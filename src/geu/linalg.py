@@ -2,9 +2,11 @@
 
 Matrices are tuples of row tuples, vectors are tuples.  Everything here is
 plain Gaussian elimination over an exact field; sizes are desk-scale so no
-attempt is made at fraction-free cleverness.  Products, eliminations and
-conj_dot skip zero entries, which Jordan matrices and their similarities are
-full of.
+attempt is made at fraction-free cleverness.  Every elimination in the
+package is `_eliminate`: det and row_basis read its echelon form, and solve
+and inverse add one back-substitution over all right-hand columns at once.
+Products, eliminations and conj_dot skip zero entries, which Jordan matrices
+and their similarities are full of.
 """
 from __future__ import annotations
 
@@ -38,9 +40,6 @@ def unit_vector(n: int, i: int) -> Vector:
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
 
 def vec_scale(s: GaussScalar, v: Vector) -> Vector:
     return tuple(s * x for x in v)
@@ -61,14 +60,6 @@ def conj_dot(b: Vector, x: Vector) -> GaussScalar:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
-def mat_scale(s: GaussScalar, a: Matrix) -> Matrix:
-    return tuple(vec_scale(s, r) for r in a)
 
 
 def _dot(row: Vector, v: Vector) -> GaussScalar:
@@ -150,74 +141,30 @@ def det(a: Matrix) -> GaussScalar:
     return out
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    if not a:
-        return a, ()
-    rows = [list(r) for r in a]
-    ncols = len(a[0])
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(lead, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        pv = rows[lead][col]
-        rows[lead] = [c / pv for c in rows[lead]]
-        for r in range(len(rows)):
-            if r != lead and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [c - f * p for c, p in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return as_matrix(rows), tuple(pivots)
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Exact basis of the kernel; empty list for full column rank."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [GS_ZERO] * ncols
-        v[fc] = GS_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return basis
+def _solve(a: Matrix, rhs: Sequence[Vector]) -> list[list[GaussScalar]]:
+    """Rows of X with a X = rhs, for invertible square a and rhs by rows."""
+    n = len(a)
+    rows = [list(r) + list(s) for r, s in zip(a, rhs)]
+    r, _ = _eliminate(rows, n)
+    if r < n:
+        raise SingularMatrix("matrix is singular")
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                acc = [p - f * q if q else p for p, q in zip(acc, x[j])]
+        x[i] = [p / row[i] if p else p for p in acc]
+    return x
 
 
 def solve(a: Matrix, v: Vector) -> Vector:
     """Solve a x = v for invertible square a."""
-    n = len(a)
-    rows = [list(r) + [v[i]] for i, r in enumerate(a)]
-    r, _ = _eliminate(rows, n)
-    if r < n:
-        raise SingularMatrix("matrix is singular")
-    x = [GS_ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = rows[i][n]
-        for j in range(i + 1, n):
-            acc = acc - rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return tuple(x)
+    return tuple(row[0] for row in _solve(a, [(s,) for s in v]))
 
 
 def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    rows = [list(r) + [GS_ONE if i == j else GS_ZERO for j in range(n)]
-            for i, r in enumerate(a)]
-    reduced, pivots = rref(as_matrix(rows))
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrix("matrix is singular")
-    return tuple(r[n:] for r in reduced)
+    """a^{-1} for invertible square a."""
+    return as_matrix(_solve(a, identity(len(a))))

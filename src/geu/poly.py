@@ -237,7 +237,8 @@ def _polished_roots(p: Poly) -> list[complex]:
     coeffs = np.array([complex(c) for c in reversed(p.coeffs)])
     deriv = np.polyder(coeffs)
     try:
-        found = np.roots(coeffs)
+        with np.errstate(over="ignore"):  # the overflow is caught below
+            found = np.roots(coeffs)
     except np.linalg.LinAlgError:  # a coefficient ratio overflowed
         found = ()
     if len(found) != p.degree:  # or the leading coefficient underflowed

@@ -37,10 +37,6 @@ class GaussScalar:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------------
     # Fraction arithmetic is canonical already, so results skip the
     # coercion in __post_init__.

@@ -31,6 +31,17 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_geu_process(*argv, timeout=20):
+    """`python -m geu argv...` in a child process, for exit codes and stderr
+    exactly as a shell sees them."""
+    src = Path(geu.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "geu", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 def worked_doc():
     return encode_problem(worked_problem())
 
@@ -124,6 +135,25 @@ def test_fuzz_empty():
     code, out, _ = run_cli("fuzz", "--seed", "1", "--count", "0")
     assert code == 0
     assert "passes=0" in out and "failures=[]" in out
+
+
+def test_output_write_failure_exits_2(tmp_path):
+    for target in (tmp_path / "absent" / "x.json", tmp_path):
+        proc = run_geu_process("example", "--output", str(target))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {target}: ")
+        assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n-max", "1"), ("--n-max", "0"), ("--count", "-3"),
+])
+def test_fuzz_rejects_empty_ranges(argv):
+    proc = run_geu_process("fuzz", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: fuzz needs n_max >= 2")
 
 
 def test_verify_command(tmp_path, worked):
@@ -360,12 +390,7 @@ def test_root_finding_is_time_bounded(tmp_path):
            "b": ["-1", "-1/735134400", "0", "0"]}
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps(doc))
-    src = Path(geu.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "geu", "compute", str(path)],
-        capture_output=True, text=True, timeout=20,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_geu_process("compute", str(path), timeout=20)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["status"] == "PASS"
@@ -380,12 +405,7 @@ def test_exact_oracles_at_n24_are_time_bounded(tmp_path):
     assert problem.spec.n == 24 and problem.spec.similarity is not None
     path = tmp_path / "n24.json"
     path.write_text(json.dumps(encode_problem(problem)))
-    src = Path(geu.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "geu", "compute", str(path)],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_geu_process("compute", str(path), timeout=10)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["status"] == "PASS"
