@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .perturb import PerturbationProblem, update_char_factor
 
 
@@ -26,9 +27,10 @@ def spec_matrices(problem: PerturbationProblem):
         off += block.size
     if spec.similarity is None:
         return j, np.eye(n, dtype=complex)
-    s = np.array(
-        [[complex(v) if v else 0j for v in row] for row in spec.similarity]
-    )
+    s = np.zeros((n, n), dtype=complex)
+    for i, row in enumerate(spec.similarity):
+        for k in linalg.nonzeros(row):
+            s[i, k] = complex(row[k])
     return s @ j @ np.linalg.inv(s), s
 
 

@@ -5,11 +5,18 @@ plain Gaussian elimination over an exact field; sizes are desk-scale so no
 attempt is made at fraction-free cleverness.  Every elimination in the
 package is `_eliminate`: det and row_basis read its echelon form, and solve
 and inverse add one back-substitution over all right-hand columns at once.
-Products, eliminations and conj_dot skip zero entries, which Jordan matrices
-and their similarities are full of.
+
+Jordan matrices and their similarities are mostly zeros, so products,
+eliminations and conj_dot skip zero entries.  Parsed vectors and matrices
+hold the one shared GS_ZERO for every zero (see problemfile), and
+`nonzeros` drops those by identity at C speed before it tests the rest
+exactly; a zero made any other way is still found by the exact test.
+`_eliminate` works on rows that keep only their nonzero entries.
 """
 from __future__ import annotations
 
+from itertools import compress, islice, repeat
+from operator import contains, is_not
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -49,12 +56,23 @@ def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 
 
+def nonzeros(v: Sequence[GaussScalar]) -> list[int]:
+    """Indices of the nonzero entries of v, in order.
+
+    Entries that are the shared GS_ZERO are dropped by identity, without a
+    Python-level call; every other entry gets the exact truth test.
+    """
+    maybe = compress(range(len(v)), map(is_not, v, repeat(GS_ZERO)))
+    return [i for i in maybe if v[i]]
+
+
 def conj_dot(b: Vector, x: Vector) -> GaussScalar:
     """b* x = sum conj(b_i) x_i."""
     acc = GS_ZERO
-    for p, q in zip(b, x):
-        if p and q:
-            acc = acc + p.conjugate() * q
+    for i in nonzeros(x):
+        p = b[i]
+        if p:
+            acc = acc + p.conjugate() * x[i]
     return acc
 
 
@@ -85,35 +103,54 @@ def outer_conj(x: Vector, b: Vector) -> Matrix:
     return tuple(tuple(xi * bj for bj in bc) for xi in x)
 
 
-def _eliminate(rows: list[list[GaussScalar]], ncols: int) -> tuple[int, int]:
+SparseRow = dict[int, GaussScalar]
+
+
+def _sparse(rows: Sequence[Sequence[GaussScalar]]) -> list[SparseRow]:
+    """Each row as {column: entry} of its nonzero entries."""
+    return [{c: row[c] for c in nonzeros(row)} for row in rows]
+
+
+def _dense(row: SparseRow, width: int) -> list[GaussScalar]:
+    out = [GS_ZERO] * width
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _eliminate(rows: list[SparseRow], ncols: int) -> tuple[int, int]:
     """In-place forward elimination; returns (rank, sign of row swaps).
 
-    Rows from the rank on are zero in the first ncols columns afterwards.
+    The pivot of each of the first ncols columns is its first nonzero entry
+    at or below the current rank.  Rows keep only nonzero entries, so rows
+    from the rank on are empty in the first ncols columns afterwards.
     """
     nrows = len(rows)
     sign = 1
     rank = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+        hits = list(compress(
+            range(rank, nrows),
+            map(contains, islice(rows, rank, None), repeat(col)),
+        ))
+        if not hits:
             continue
+        pivot = hits[0]
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             sign = -sign
         prow = rows[rank]
         pv = prow[col]
-        nonzero = [c for c in range(col + 1, len(prow)) if prow[c]]
-        for r in range(rank + 1, nrows):
+        rest = [(c, x) for c, x in prow.items() if c != col]
+        for r in hits[1:]:
             row = rows[r]
-            if row[col]:
-                f = row[col] / pv
-                row[col] = GS_ZERO
-                for c in nonzero:
-                    row[c] = row[c] - f * prow[c]
+            f = row.pop(col) / pv
+            for c, x in rest:
+                y = row.get(c, GS_ZERO) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
         rank += 1
         if rank == nrows:
             break
@@ -124,14 +161,15 @@ def row_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """Echelon basis of the span of the vectors (empty for zero span)."""
     if not vectors:
         return []
-    rows = [list(v) for v in vectors]
-    r, _ = _eliminate(rows, len(rows[0]))
-    return [tuple(row) for row in rows[:r]]
+    width = len(vectors[0])
+    rows = _sparse(vectors)
+    r, _ = _eliminate(rows, width)
+    return [tuple(_dense(row, width)) for row in rows[:r]]
 
 
 def det(a: Matrix) -> GaussScalar:
     n = len(a)
-    rows = [list(r) for r in a]
+    rows = _sparse(a)
     r, sign = _eliminate(rows, n)
     if r < n:
         return GS_ZERO
@@ -144,18 +182,18 @@ def det(a: Matrix) -> GaussScalar:
 def _solve(a: Matrix, rhs: Sequence[Vector]) -> list[list[GaussScalar]]:
     """Rows of X with a X = rhs, for invertible square a and rhs by rows."""
     n = len(a)
-    rows = [list(r) + list(s) for r, s in zip(a, rhs)]
+    width = n + len(rhs[0])
+    rows = _sparse([tuple(r) + tuple(s) for r, s in zip(a, rhs)])
     r, _ = _eliminate(rows, n)
     if r < n:
         raise SingularMatrix("matrix is singular")
     x = [None] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
+        acc = _dense(row, width)[n:]
+        for j in sorted(c for c in row if i < c < n):
             f = row[j]
-            if f:
-                acc = [p - f * q if q else p for p, q in zip(acc, x[j])]
+            acc = [p - f * q if q else p for p, q in zip(acc, x[j])]
         x[i] = [p / row[i] if p else p for p in acc]
     return x
 

@@ -3,18 +3,22 @@
 All scalars are exact: 'p/q' strings for rationals, {re, im} objects for
 complex values.  Floats are rejected so golden outputs stay bit-exact.
 A repeated scalar text (a 'p/q' string or a JSON integer) is parsed once per
-document: similarities are mostly zeros drawn from a handful of texts.
+document: similarities are mostly zeros drawn from a handful of texts.  Every
+zero of a parsed vector or matrix is the shared GS_ZERO, which linalg.nonzeros
+skips by identity.
 """
 from __future__ import annotations
 
 import json
+from itertools import compress, count, repeat
+from operator import is_
 
 from . import linalg
 from .errors import ParseError
 from .linalg import Matrix, Vector
 from .model import ChainLocator, JordanBlock, JordanSpec, validate_spec
 from .perturb import PerturbationProblem
-from .scalars import GaussScalar, encode_scalar, parse_scalar
+from .scalars import GS_ZERO, GaussScalar, encode_scalar, parse_scalar
 
 
 def _require(cond: bool, message: str, field: str):
@@ -27,24 +31,34 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+# Integers are memoized under (_INT, v): no decoded JSON value equals it.
+_INT = object()
+
+
 def parse_vector(obj, field: str, memo: dict) -> Vector:
     """The scalars of a JSON list.
 
-    memo maps (type, value) of each 'p/q' string or integer parsed so far in
-    the document to its GaussScalar.  Anything else, and every miss, goes
-    through parse_scalar, so what it rejects is rejected at its own index.
+    memo maps each 'p/q' string parsed so far in the document, and (_INT, v)
+    for each integer v, to its GaussScalar, with the shared GS_ZERO for every
+    zero.  A row is looked up by its strings in one pass; a str key never
+    equals a bool, float, int or {re, im} object, so those, and every miss,
+    go through parse_scalar, and what it rejects is rejected at its own index.
     """
     _require(isinstance(obj, list), "expected a list of scalars", field)
-    out = []
-    for i, v in enumerate(obj):
+    try:
+        out = list(map(memo.get, obj))
+    except TypeError:  # an unhashable value: an {re, im} object or a list
+        out = [None] * len(obj)
+    for i in list(compress(count(), map(is_, out, repeat(None)))):
+        v = obj[i]
         t = type(v)
-        if t is str or t is int:  # not bool, float or {re, im}
-            z = memo.get((t, v))
-            if z is None:
-                z = memo[t, v] = parse_scalar(v, field=f"{field}[{i}]")
-        else:
-            z = parse_scalar(v, field=f"{field}[{i}]")
-        out.append(z)
+        key = v if t is str else (_INT, v) if t is int else None
+        z = None if key is None else memo.get(key)
+        if z is None:
+            z = parse_scalar(v, field=f"{field}[{i}]") or GS_ZERO
+            if key is not None:
+                memo[key] = z
+        out[i] = z
     return tuple(out)
 
 

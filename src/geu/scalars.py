@@ -35,7 +35,8 @@ class GaussScalar:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        # the numerators directly: Fraction.__bool__ is a Python-level call
+        return bool(self.re._numerator or self.im._numerator)
 
     # -- arithmetic --------------------------------------------------------
     # Fraction arithmetic is canonical already, so results skip the
@@ -123,6 +124,10 @@ class GaussScalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal values hash equally: a real scalar equals its Fraction (and
+        # an integer one its int), so it hashes as that Fraction
+        if not self.im._numerator:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):

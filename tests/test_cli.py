@@ -20,7 +20,7 @@ from geu.problemfile import (
     parse_eigenvalue_arg,
     parse_problem,
 )
-from geu.scalars import encode_scalar, gs, parse_scalar
+from geu.scalars import GS_ZERO, encode_scalar, gs, parse_scalar
 from geu.worked import worked_problem
 
 
@@ -312,6 +312,14 @@ def test_repeated_scalars_are_still_validated(tmp_path):
     cases = [
         (dict(two, similarity=[[1, True], [0, 1]]), "similarity[0][1]"),
         (dict(two, similarity=[["1", "0"], ["0", 1.0]]), "similarity[1][1]"),
+        (dict(two, similarity=[["1", {"re": "1", "im": True}], ["0", "1"]]),
+         "similarity[0][1]"),
+        (dict(two, similarity=[[1, "0"], ["0", {"re": 1, "im": 0.5}]]),
+         "similarity[1][1]"),
+        (dict(two, similarity=[[{"re": "1"}, True], ["0", "1"]]),
+         "similarity[0][1]"),
+        (dict(two, similarity=[["1", "0"], ["1", True]]), "similarity[1][1]"),
+        (dict(two, similarity=[["1", "0"], [1, 1.0]]), "similarity[1][1]"),
     ]
     for b, field in ((["1", 1, True], "b[2]"), ([1, 1, 1.0], "b[2]"),
                      (["1e300", "1e300", "1e4301"], "b[2]"),
@@ -321,6 +329,14 @@ def test_repeated_scalars_are_still_validated(tmp_path):
         with pytest.raises(ParseError) as exc:
             parse_problem(doc)
         assert exc.value.field == field
+    # every zero of a parsed similarity and of b is the shared GS_ZERO
+    doc = dict(_one_block_doc(size=3, b=["0", 0, {"re": "0", "im": "0"}]),
+               similarity=[["1", "0", 0], ["0/3", "1", "-0"],
+                           [{"re": "0"}, 0, 1]])
+    problem = parse_problem(doc)
+    zeros = [z for row in problem.spec.similarity for z in row if not z]
+    zeros += [z for z in problem.b if not z]
+    assert len(zeros) == 9 and all(z is GS_ZERO for z in zeros)
     matrix_path, vec_path = _verify_files(
         tmp_path, [["2", "0"], ["0", "2"]], [["1", "0"], ["1", True]])
     code, out, err = run_cli("verify", "--matrix", matrix_path,

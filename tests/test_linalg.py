@@ -6,11 +6,13 @@ from geu import linalg
 from geu.errors import SingularMatrix
 from geu.scalars import GS_ZERO, gs
 
-from reference import gauss_jordan_inverse
+from reference import gauss_jordan_inverse, rref
 
 _entries = st.sampled_from([1, -1, 2, -3, "1/2", "-3/2", "5/3"])
 _dense = st.builds(gs, _entries, st.sampled_from([0, 1, "-1/3", "2/5"]))
-_sparse = st.one_of(st.just(GS_ZERO), st.just(GS_ZERO), _dense)
+# zeros that are not the shared GS_ZERO object, as arithmetic makes them
+_fresh_zero = st.one_of(st.builds(gs), st.builds(lambda x: x - x, _dense))
+_sparse = st.one_of(st.just(GS_ZERO), _fresh_zero, _dense)
 
 
 @st.composite
@@ -48,6 +50,11 @@ def _matrix(rows):
 def test_solve_and_inverse_match_gauss_jordan(system):
     a, v = system
     n = len(a)
+    for row in a + (v,):
+        assert linalg.nonzeros(row) == [i for i, x in enumerate(row) if x]
+    rank = len(rref(a)[1])
+    assert (linalg.det(a) == 0) == (rank < n)
+    assert len(linalg.row_basis(a)) == rank
     try:
         want = gauss_jordan_inverse(a)
     except SingularMatrix:
@@ -59,5 +66,6 @@ def test_solve_and_inverse_match_gauss_jordan(system):
         return
     inv = linalg.inverse(a)
     assert inv == want
+    assert linalg.det(a) * linalg.det(inv) == 1
     assert linalg.mat_mul(a, inv) == linalg.identity(n)
     assert linalg.mat_vec(a, linalg.solve(a, v)) == v

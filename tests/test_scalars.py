@@ -59,6 +59,27 @@ def test_field_axioms(a, b, c):
         assert a * (GS_ONE / a) == GS_ONE
 
 
+@given(fractions, fractions)
+def test_equal_values_hash_equally(re, im):
+    z = gs(re, im)
+    assert {z: 1}[gs(re, im)] == 1
+    if im:
+        assert z != re and hash(z) == hash((re, im))
+        return
+    assert z == re and hash(z) == hash(re)
+    assert z in {re} and re in {z} and {re: 1}[z] == 1
+    if re.denominator == 1:
+        k = int(re)
+        assert z == k and hash(z) == hash(k) and k in {z} and z in {k}
+
+
+def test_integers_and_fractions_find_real_scalars():
+    assert 1 in {gs(1)} and 0 in {GS_ZERO} and -3 in {gs(-3)}
+    assert Fraction(1, 2) in {gs("1/2")} and gs("2/4") in {Fraction(1, 2)}
+    assert gs(1, 1) not in {1} and gs(0, 1) not in {0}
+    assert len({gs(2), 2, Fraction(2), gs("4/2")}) == 1
+
+
 @given(scalars)
 def test_encode_parse_round_trip(z):
     assert parse_scalar(encode_scalar(z)) == z
