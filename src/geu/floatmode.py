@@ -2,18 +2,25 @@
 
 FloatProblem gives the chains module a complex128 view of a problem, so the
 same constructions run in both modes; residuals are checked numerically
-instead of exactly.
+instead of exactly.  NumPy is imported inside the functions that compute in
+floats: `report`, and so every `geu` command, imports this module, and a
+command that never computes in floats should not pay for loading NumPy.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .perturb import PerturbationProblem, update_char_factor
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def spec_matrices(problem: PerturbationProblem):
     """(A, chain columns per block) as complex arrays."""
+    import numpy as np
+
     spec = problem.spec
     n = spec.n
     j = np.zeros((n, n), dtype=complex)
@@ -40,6 +47,8 @@ class FloatProblem:
     zero = 0j
 
     def __init__(self, problem: PerturbationProblem):
+        import numpy as np
+
         self.spec = problem.spec
         self.source = problem.source
         self.a, self.s = spec_matrices(problem)
@@ -61,12 +70,16 @@ class FloatProblem:
         return complex(self.spec.blocks[block_index].eigenvalue)
 
     def block_chain(self, block_index: int, rank: int) -> np.ndarray:
+        import numpy as np
+
         if rank == 0:
             return np.zeros(self.n, dtype=complex)
         off = self.spec.block_offset(block_index)
         return self.s[:, off + rank - 1].copy()
 
     def block_moment(self, block_index: int, rank: int) -> complex:
+        import numpy as np
+
         return np.vdot(self.b, self.block_chain(block_index, rank))
 
     def source_chain(self, j: int) -> np.ndarray:
@@ -84,6 +97,8 @@ class FloatProblem:
         return base
 
     def residual_scale(self) -> float:
+        import numpy as np
+
         x = self.source_chain(self.m)
         return np.linalg.norm(self.a) + np.linalg.norm(x) * np.linalg.norm(self.b)
 
@@ -91,6 +106,8 @@ class FloatProblem:
 def chain_residual(fp: FloatProblem, eigenvalue: complex,
                    vectors: list[np.ndarray]) -> float:
     """max_t ||M v_t - eig v_t - v_{t-1}|| / ||v_t||, M the updated matrix."""
+    import numpy as np
+
     worst = 0.0
     prev = np.zeros(fp.n, dtype=complex)
     for v in vectors:
@@ -101,6 +118,8 @@ def chain_residual(fp: FloatProblem, eigenvalue: complex,
 
 
 def float_new_eigenvalues(problem: PerturbationProblem):
+    import numpy as np
+
     f = update_char_factor(problem).f
     coeffs = np.array([complex(c) for c in reversed(f.coeffs)])
     return sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))

@@ -29,12 +29,6 @@ class ChainVerdict:
 class JordanStructure:
     entries: tuple[tuple[GaussScalar, tuple[int, ...]], ...]
 
-    def block_multiset(self) -> list[tuple[GaussScalar, int]]:
-        out = []
-        for eig, sizes in self.entries:
-            out.extend((eig, s) for s in sizes)
-        return sorted(out, key=lambda p: (p[0].re, p[0].im, -p[1]))
-
 
 def apply_update(problem: PerturbationProblem) -> Matrix:
     """A + x_m b*, assembled entrywise."""
@@ -66,7 +60,8 @@ def verify_chain(
 def chain_ranks(
     m: Matrix, eigenvalue: GaussScalar, vectors: list[Vector]
 ) -> list[int | None]:
-    """generalized_rank of each vector, with N = M - eig I built once.
+    """The generalized rank of each vector v: the smallest k <= n with
+    N^k v = 0, or None, with N = M - eig I built once.
 
     When N v_t equals v_{t-1} (nonzero) of rank k < n, then N^j v_t =
     N^{j-1} v_{t-1} gives rank(v_t) = k + 1 without walking; every other
@@ -92,13 +87,6 @@ def chain_ranks(
         ranks.append(rank)
         prev, prev_rank = v, rank
     return ranks
-
-
-def generalized_rank(
-    m: Matrix, eigenvalue: GaussScalar, v: Vector
-) -> int | None:
-    """Smallest k <= n with (M - eig I)^k v = 0, or None."""
-    return chain_ranks(m, eigenvalue, [v])[0]
 
 
 def _shifted(m: Matrix, s: GaussScalar) -> Matrix:

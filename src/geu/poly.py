@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     ExactModeUnavailable,
     FloatOverflow,
@@ -165,11 +163,6 @@ def _squarefree_part(p: Poly) -> Poly:
     return quot
 
 
-def distinct_root_count(p: Poly) -> int:
-    """Number of distinct complex roots, via deg p - deg gcd(p, p')."""
-    return _squarefree_part(p).degree
-
-
 # -- root extraction -------------------------------------------------------
 
 
@@ -234,6 +227,8 @@ def _rounded_roots(s: Poly) -> list[GaussScalar]:
 
 def _polished_roots(p: Poly) -> list[complex]:
     """Companion-matrix roots of p, each tightened by Newton steps."""
+    import numpy as np  # here, so exact runs with closed-form roots skip it
+
     coeffs = np.array([complex(c) for c in reversed(p.coeffs)])
     deriv = np.polyder(coeffs)
     try:

@@ -124,6 +124,8 @@ def _read_json(path: str):
         raise ParseError(f"{path}: {exc}")
     except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ParseError(f"{path}: invalid JSON ({exc})")
+    except RecursionError:  # arrays or objects nested past the stack
+        raise ParseError(f"{path}: JSON nested too deeply")
 
 
 def load_problem(path: str) -> PerturbationProblem:

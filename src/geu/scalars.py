@@ -162,6 +162,9 @@ def parse_scalar(obj, field: str = "value") -> GaussScalar:
     """Parse 'p/q', an int, or {'re': 'p/q', 'im': 'p/q'} into a GaussScalar.
 
     JSON floats and booleans are rejected, also as the parts of an object.
+    A text part holds only ASCII digits, '+', '-', '/', '.', 'e' and 'E', in
+    a form that Fraction reads: '-3', '3/4', '1.25' or '-2.5e3'.  Spaces,
+    underscores and non-ASCII digits are rejected.
     """
     re, im = obj, 0
     if isinstance(obj, dict):
@@ -178,13 +181,23 @@ def parse_scalar(obj, field: str = "value") -> GaussScalar:
                 f"got {type(part).__name__}",
                 field=field,
             )
-        if type(part) is str and ("e" in part or "E" in part):
-            _check_exponent(part, field)
+        if type(part) is str:
+            # strip leaves text only when a character is outside the set
+            if part.strip(_SCALAR_CHARS):
+                raise ParseError(
+                    f"{field}: {part!r} has a character other than ASCII "
+                    f"digits and '+-/.eE'",
+                    field=field,
+                )
+            if "e" in part or "E" in part:
+                _check_exponent(part, field)
     try:
         return GaussScalar(Fraction(re), Fraction(im))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{field}: not a rational scalar ({exc})", field=field)
 
+
+_SCALAR_CHARS = "0123456789+-/.eE"
 
 # Fraction("1e<exp>") builds 10**|exp| before any check; CPython already
 # refuses int strings longer than this many digits (sys.int_info).

@@ -1,15 +1,39 @@
-"""Gauss-Jordan references for the tests.
+"""References and helpers that only the tests use.
 
-These are deliberately a second, independent elimination: full reduction
-to reduced row echelon form, with no zero-skipping, so that the package's
-`linalg._eliminate` and its back-substitution are checked against code they
-do not share.
+The Gauss-Jordan routines are deliberately a second, independent
+elimination: full reduction to reduced row echelon form, with no
+zero-skipping, so that the package's `linalg._eliminate` and its
+back-substitution are checked against code they do not share.
 """
 from __future__ import annotations
 
 from geu.errors import SingularMatrix
 from geu.linalg import Matrix, Vector, as_matrix, vec_scale
+from geu.oracle import JordanStructure, chain_ranks
+from geu.poly import Poly, _squarefree_part
 from geu.scalars import GS_ONE, GS_ZERO, GaussScalar
+
+
+def generalized_rank(
+    m: Matrix, eigenvalue: GaussScalar, v: Vector
+) -> int | None:
+    """Smallest k <= n with (M - eig I)^k v = 0, or None."""
+    return chain_ranks(m, eigenvalue, [v])[0]
+
+
+def block_multiset(
+    structure: JordanStructure,
+) -> list[tuple[GaussScalar, int]]:
+    """Every (eigenvalue, block size) of a structure, in one sorted list."""
+    out = []
+    for eig, sizes in structure.entries:
+        out.extend((eig, s) for s in sizes)
+    return sorted(out, key=lambda p: (p[0].re, p[0].im, -p[1]))
+
+
+def distinct_root_count(p: Poly) -> int:
+    """Number of distinct complex roots, via deg p - deg gcd(p, p')."""
+    return _squarefree_part(p).degree
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:

@@ -323,7 +323,9 @@ def test_repeated_scalars_are_still_validated(tmp_path):
     ]
     for b, field in ((["1", 1, True], "b[2]"), ([1, 1, 1.0], "b[2]"),
                      (["1e300", "1e300", "1e4301"], "b[2]"),
-                     (["1", "1e4301", "1e4301"], "b[1]")):
+                     (["1", "1e4301", "1e4301"], "b[1]"),
+                     (["1000", 1000, "1_000"], "b[2]"),
+                     (["1", "1", " 1 "], "b[2]")):
         cases.append((_one_block_doc(size=3, b=b), field))
     for doc, field in cases:
         with pytest.raises(ParseError) as exc:
@@ -427,3 +429,79 @@ def test_exact_oracles_at_n24_are_time_bounded(tmp_path):
     assert rep["status"] == "PASS"
     assert rep["oracle"]["char_poly_identity"]
     assert rep["oracle"]["jordan_structure"] is not None
+
+
+# Run in a fresh interpreter: which modules `import geu.cli` loads, and
+# whether NumPy is loaded after each command.  argv: the problem files
+# m1, rejected, wide (m > 1), then the verify matrix and vectors.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import geu.cli
+m1, rejected, wide, matrix, vectors = sys.argv[1:]
+out = {"modules": sorted(m for m in sys.modules if m.startswith("geu.")),
+       "steps": []}
+for argv in (["compute", m1], ["compute", rejected],
+             ["verify", "--matrix", matrix, "--eigenvalue", "2",
+              "--vectors", vectors],
+             ["compute", wide], ["compute", m1, "--mode", "float"]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = geu.cli.main(argv)
+    out["steps"].append([code, text.getvalue(), "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_numpy_loads_only_when_a_call_computes_in_floats(tmp_path):
+    m1 = _one_block_doc(size=3, rank=1, b=("1", "-1/2", "3"))
+    m1["similarity"] = [["1", "2", "0"], ["0", "1", "0"], ["1", "0", "1"]]
+    paths = []
+    for name, doc in (("m1", m1), ("rejected", dict(m1, b=["1", "2"])),
+                      ("wide", worked_doc())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    paths += _verify_files(tmp_path, [["2", "1"], ["0", "2"]],
+                           [["1", "0"], ["0", "1"]])
+    src = Path(geu.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *map(str, paths)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert set(got["modules"]) >= {
+        f"geu.{name}" for name in (
+            "problemfile", "model", "perturb", "poly", "chains", "oracle",
+            "linalg", "floatmode", "report", "scalars", "fuzz", "worked",
+            "errors")
+    }
+    codes, reports, numpy_loaded = zip(*(
+        (code, json.loads(out) if out else None, numpy)
+        for code, out, numpy in got["steps"]))
+    m1_rep, bad_rep, verify_doc, wide_rep, float_rep = reports
+    assert codes == (0, 2, 0, 0, 0) and bad_rep is None
+    assert m1_rep["status"] == "PASS" and len(m1_rep["f"]["monomial"]) == 2
+    assert verify_doc["ranks"] == [1, 2]
+    assert wide_rep["status"] == "PASS" and float_rep["status"] == "PASS"
+    # an exact m = 1 run, a rejected file and `geu verify` need no floats;
+    # the float root finder (m > 1) and float mode load NumPy when they run
+    assert numpy_loaded == (False, False, False, True, True)
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_json_exits_2(tmp_path, depth):
+    nested = "[" * depth + "]" * depth
+    problem = tmp_path / "problem.json"
+    problem.write_text(
+        '{"blocks": [{"eigenvalue": %s, "size": 1}], "b": ["1"], '
+        '"source": {"block": 0, "rank": 1}}' % nested)
+    matrix, vectors = _verify_files(tmp_path, [["2"]], [["1"]])
+    Path(matrix).write_text("[[%s]]" % nested)
+    for argv, path in ((("compute", str(problem)), problem),
+                       (("verify", "--matrix", matrix, "--eigenvalue", "2",
+                         "--vectors", vectors), matrix)):
+        proc = run_geu_process(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"parse error: {path}: JSON nested too deeply\n"

@@ -12,13 +12,14 @@ from geu.errors import (
 )
 from geu.poly import (
     Poly,
-    distinct_root_count,
     poly_divide_linear,
     poly_from_shifted,
     poly_gcd,
     poly_roots,
 )
 from geu.scalars import GS_ONE, GS_ZERO, gs
+
+from reference import distinct_root_count
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 scalars = st.builds(gs, fractions, fractions)

@@ -100,6 +100,13 @@ def test_parse_forms():
                 {"im": float("inf")}):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+    # text is ASCII digits, '+-/.eE' only: Fraction alone would read these
+    for bad in ("1_000", " 1 ", "1 ", "\u0661", "\uff11", "1/ 2", "\t3",
+                "nan", "inf", {"re": "1", "im": "2_0"}):
+        with pytest.raises(ParseError, match="other than ASCII digits"):
+            parse_scalar(bad, "b[0]")
+    assert parse_scalar("+7/14") == gs("1/2")
+    assert parse_scalar("-.5e1") == gs(-5)
 
 
 def test_parse_bounds_decimal_exponent():
