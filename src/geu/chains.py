@@ -3,19 +3,24 @@
 Three cases are covered: the eigenvalue staying in the source block, the same
 eigenvalue sitting in a different block, and a different eigenvalue entirely.
 Each produces a coefficient table beta[(target_rank, chain_index)] filled by
-recurrence, then linear combinations of the original chain vectors.
+recurrence.  Everything here stays in Jordan coordinates: with x_k = S e_k,
+the chain vector of rank t is the base block's x_t, plus the table's row t
+over the source block's x_j, plus beta x_{m+t} in the same-block case.  The
+problem turns that row of terms into a vector, so each reported vector is S
+times its reported coefficient row.
 
 Everything here runs unchanged in exact mode (a PerturbationProblem over
 GaussScalar) and float mode (a floatmode.FloatProblem over complex128).
-Besides lam, m, r, spec, source, moment(j) and source_chain(j), a problem
-provides zero, negligible(x) (a vanishing denominator), block_chain(i, t),
-block_moment(i, t) = b* block_chain(i, t), eigenvalue(i) and
-combine(base, pairs) = base + sum c v.  Case hypotheses compare the spec's
+Besides lam, m, r, spec and source, a problem provides zero, one,
+negligible(x) (a vanishing denominator), eigenvalue(i), block_moment(i, t) =
+b* x for the rank-t chain vector of block i, and vector(terms) = sum c x_k
+over (c, k) terms, k a column of J.  Case hypotheses compare the spec's
 exact eigenvalues in both modes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from .errors import (
@@ -62,22 +67,13 @@ def same_block_table(mom: Callable, beta, m: int, t_max: int, zero):
     def get(t, j):
         return table.get((t, j), zero)
 
-    for t in range(1, t_max + 1):
-        limit = min(t - 1, m)
-        for j in range(2, limit + 1):
+    for t in range(2, t_max + 1):
+        s = zero
+        for j in range(2, min(t - 1, m) + 1):
             table[(t, j)] = get(t - 1, j - 1)
-        if t < 2:
-            continue
-        if t <= m + 1:
-            s = zero
-            for j in range(2, t):
-                s = s + get(t - 1, j - 1) * mom(j)
-            num = -mom(t) - s - beta * mom(m + t)
-        else:
-            s = zero
-            for j in range(2, m + 1):
-                s = s + get(t - 1, j - 1) * mom(j)
-            num = get(t - 1, m) - mom(t) - s - beta * mom(m + t)
+            s = s + table[(t, j)] * mom(j)
+        # row t-1 reaches index m only once t > m + 1; before that get is zero
+        num = get(t - 1, m) - mom(t) - s - beta * mom(m + t)
         table[(t, 1)] = num / mom(1)
     return table
 
@@ -90,20 +86,12 @@ def other_block_table(mom: Callable, ymom: Callable, m: int, t_max: int, zero):
         return table.get((t, j), zero)
 
     for t in range(1, t_max + 1):
-        limit = min(t, m)
-        for j in range(2, limit + 1):
+        s = zero
+        for j in range(2, min(t, m) + 1):
             table[(t, j)] = get(t - 1, j - 1)
-        if t <= m:
-            s = zero
-            for j in range(2, t + 1):
-                s = s + get(t - 1, j - 1) * mom(j)
-            num = -ymom(t) - s
-        else:
-            s = zero
-            for j in range(2, m + 1):
-                s = s + get(t - 1, j - 1) * mom(j)
-            num = get(t - 1, m) - ymom(t) - s
-        table[(t, 1)] = num / mom(1)
+            s = s + table[(t, j)] * mom(j)
+        # row t-1 reaches index m only once t > m; before that get is zero
+        table[(t, 1)] = (get(t - 1, m) - ymom(t) - s) / mom(1)
     return table
 
 
@@ -146,29 +134,53 @@ def _has_lambda(problem, block_index: int) -> bool:
     return blocks[block_index].eigenvalue == blocks[problem.source.block_index].eigenvalue
 
 
+def _source_moment(problem) -> Callable:
+    """mom(j) = b* x_j over the source block."""
+    return partial(problem.block_moment, problem.source.block_index)
+
+
+def _chain(problem, case: str, block_index: int, t_max: int, table,
+           beta=None) -> list[UpdatedChainVector]:
+    """Vectors of ranks 1..t_max from their Jordan-coordinate terms.
+
+    Rank t takes x_t of block `block_index` with coefficient one, table row t
+    over the source block's x_j, and beta x_{m+t} when beta is given.
+    """
+    m = problem.m
+    src = problem.spec.block_offset(problem.source.block_index) - 1
+    base = problem.spec.block_offset(block_index) - 1
+    eigenvalue = problem.eigenvalue(block_index)
+    coeffs = ChainCoefficients(case, beta, table)
+    out = []
+    for t in range(1, t_max + 1):
+        terms = [(problem.one, base + t)]
+        terms += [(table[t, j], src + j) for j in range(1, m + 1) if (t, j) in table]
+        if beta is not None:
+            terms.append((beta, src + m + t))
+        out.append(UpdatedChainVector(t, eigenvalue, problem.vector(terms), coeffs))
+    return out
+
+
 def same_block_beta(problem) -> GaussScalar:
     """-b*x_1 / (1 + b*x_{m+1}); the coefficient on the rank-shifted tail."""
     if problem.m + 1 > problem.r:
         raise RankOutOfRange(
             f"need rank m+1={problem.m + 1} in a block of size {problem.r}"
         )
-    den = problem.moment(problem.m + 1) + 1
+    mom = _source_moment(problem)
+    den = mom(problem.m + 1) + 1
     if problem.negligible(den):
         raise DegenerateDenominator(
             "1 + b*x_{m+1} = 0: same-block formulas do not apply", den
         )
-    return -problem.moment(1) / den
-
-
-def default_same_block_t_max(problem) -> int:
-    return problem.r - problem.m
+    return -mom(1) / den
 
 
 def same_block_chain(problem, t_max: int | None = None) -> list[UpdatedChainVector]:
     """u_1..u_t_max associated with lambda in the source block."""
+    m = problem.m
     if t_max is None:
-        t_max = default_same_block_t_max(problem)
-    m, lam = problem.m, problem.lam
+        t_max = problem.r - m
     if m + t_max > problem.r:
         raise RankOutOfRange(
             f"m + t_max = {m + t_max} exceeds source block size {problem.r}"
@@ -176,20 +188,14 @@ def same_block_chain(problem, t_max: int | None = None) -> list[UpdatedChainVect
     if t_max < 1:
         return []
     beta = same_block_beta(problem)
-    if t_max >= 2 and problem.negligible(problem.moment(1)):
+    mom = _source_moment(problem)
+    if t_max >= 2 and problem.negligible(mom(1)):
         raise DegenerateDenominator(
-            "b*x_1 = 0: same-block recurrence undefined for rank >= 2",
-            problem.moment(1),
+            "b*x_1 = 0: same-block recurrence undefined for rank >= 2", mom(1)
         )
-    table = same_block_table(problem.moment, beta, m, t_max, problem.zero)
-    coeffs = ChainCoefficients(SAME_BLOCK, beta, table)
-    x = problem.source_chain
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table[t, j], x(j)) for j in range(1, min(t - 1, m) + 1)]
-        pairs.append((beta, x(m + t)))
-        out.append(UpdatedChainVector(t, lam, problem.combine(x(t), pairs), coeffs))
-    return out
+    table = same_block_table(mom, beta, m, t_max, problem.zero)
+    return _chain(problem, SAME_BLOCK, problem.source.block_index, t_max,
+                  table, beta)
 
 
 def other_block_chain(
@@ -213,31 +219,25 @@ def other_block_chain(
         )
     if t_max < 1:
         return []
-    if problem.negligible(problem.moment(1)):
+    mom = _source_moment(problem)
+    if problem.negligible(mom(1)):
         raise DegenerateDenominator(
-            "b*x_1 = 0: other-block recurrence undefined", problem.moment(1)
+            "b*x_1 = 0: other-block recurrence undefined", mom(1)
         )
-    m = problem.m
     table = other_block_table(
-        problem.moment, lambda t: problem.block_moment(other_block, t),
-        m, t_max, problem.zero,
+        mom, partial(problem.block_moment, other_block),
+        problem.m, t_max, problem.zero,
     )
-    coeffs = ChainCoefficients(OTHER_BLOCK, None, table)
-    x = problem.source_chain
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table[t, j], x(j)) for j in range(1, min(t, m) + 1)]
-        v = problem.combine(problem.block_chain(other_block, t), pairs)
-        out.append(UpdatedChainVector(t, problem.lam, v, coeffs))
-    return out
+    return _chain(problem, OTHER_BLOCK, other_block, t_max, table)
 
 
 def distinct_eig_denominator(problem, mu):
     """(mu-lambda)^{m+1} - sum_{j=1}^m (mu-lambda)^j b*x_j."""
+    mom = _source_moment(problem)
     d = mu - problem.lam
     out = d ** (problem.m + 1)
     for j in range(1, problem.m + 1):
-        out = out - d**j * problem.moment(j)
+        out = out - d**j * mom(j)
     return out
 
 
@@ -263,19 +263,11 @@ def distinct_eig_chain(
             "update factor vanishes at mu: distinct-eigenvalue formulas do not apply",
             denom,
         )
-    m = problem.m
     table = distinct_eig_table(
-        problem.moment, lambda t: problem.block_moment(mu_block, t),
-        mu - problem.lam, denom, m, t_max, problem.zero,
+        _source_moment(problem), partial(problem.block_moment, mu_block),
+        mu - problem.lam, denom, problem.m, t_max, problem.zero,
     )
-    coeffs = ChainCoefficients(DISTINCT_EIGENVALUE, None, table)
-    x = problem.source_chain
-    out = []
-    for t in range(1, t_max + 1):
-        pairs = [(table[t, j], x(j)) for j in range(1, m + 1)]
-        v = problem.combine(problem.block_chain(mu_block, t), pairs)
-        out.append(UpdatedChainVector(t, mu, v, coeffs))
-    return out
+    return _chain(problem, DISTINCT_EIGENVALUE, mu_block, t_max, table)
 
 
 def chain_cases(problem, which: str = "all"):

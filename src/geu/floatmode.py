@@ -45,6 +45,7 @@ class FloatProblem:
     """Complex-float view of a PerturbationProblem, run by the chains module."""
 
     zero = 0j
+    one = 1 + 0j
 
     def __init__(self, problem: PerturbationProblem):
         import numpy as np
@@ -57,7 +58,11 @@ class FloatProblem:
         self.m = problem.m
         self.r = problem.r
         self.n = problem.spec.n
-        self.updated = self.a + np.outer(self.source_chain(self.m), self.b.conj())
+        # b* x_k for every column k of S
+        self.moments = self.b.conj() @ self.s
+        k = self.spec.block_offset(self.source.block_index) + self.m - 1
+        self.x_m = self.s[:, k]
+        self.updated = self.a + np.outer(self.x_m, self.b.conj())
         # degeneracy threshold relative to the data scale
         self.eps = 1e-12 * max(
             1.0, np.linalg.norm(self.a), np.linalg.norm(self.b)
@@ -69,38 +74,21 @@ class FloatProblem:
     def eigenvalue(self, block_index: int) -> complex:
         return complex(self.spec.blocks[block_index].eigenvalue)
 
-    def block_chain(self, block_index: int, rank: int) -> np.ndarray:
-        import numpy as np
-
-        if rank == 0:
-            return np.zeros(self.n, dtype=complex)
-        off = self.spec.block_offset(block_index)
-        return self.s[:, off + rank - 1].copy()
-
     def block_moment(self, block_index: int, rank: int) -> complex:
+        return self.moments[self.spec.block_offset(block_index) + rank - 1]
+
+    def vector(self, terms) -> np.ndarray:
+        """Sum of c x_k over the (c, k) terms, x_k the k-th column of S."""
         import numpy as np
 
-        return np.vdot(self.b, self.block_chain(block_index, rank))
-
-    def source_chain(self, j: int) -> np.ndarray:
-        return self.block_chain(self.source.block_index, j)
-
-    def moment(self, j: int) -> complex:
-        if j == 0:
-            return 0j
-        return self.block_moment(self.source.block_index, j)
-
-    @staticmethod
-    def combine(base: np.ndarray, pairs) -> np.ndarray:
-        for c, v in pairs:
-            base = base + c * v
-        return base
+        coeffs, cols = zip(*terms)
+        return self.s[:, list(cols)] @ np.array(coeffs, dtype=complex)
 
     def residual_scale(self) -> float:
         import numpy as np
 
-        x = self.source_chain(self.m)
-        return np.linalg.norm(self.a) + np.linalg.norm(x) * np.linalg.norm(self.b)
+        return (np.linalg.norm(self.a)
+                + np.linalg.norm(self.x_m) * np.linalg.norm(self.b))
 
 
 def chain_residual(fp: FloatProblem, eigenvalue: complex,

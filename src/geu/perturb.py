@@ -22,6 +22,7 @@ class PerturbationProblem:
     """A Jordan spec, a source chain position (lambda, rank m), and b."""
 
     zero = GS_ZERO
+    one = GS_ONE
 
     def __init__(self, spec: JordanSpec, source: ChainLocator, b: Vector):
         if not (0 <= source.block_index < len(spec.blocks)):
@@ -60,24 +61,32 @@ class PerturbationProblem:
     def eigenvalue(self, block_index: int) -> GaussScalar:
         return self.spec.blocks[block_index].eigenvalue
 
-    def block_chain(self, block_index: int, rank: int) -> Vector:
-        return model.chain_vector(self.spec, ChainLocator(block_index, rank))
-
     def block_moment(self, block_index: int, rank: int) -> GaussScalar:
-        return linalg.conj_dot(self.b, self.block_chain(block_index, rank))
+        """b* x for the rank-`rank` chain vector of a block."""
+        if block_index == self.source.block_index:
+            return self.moment(rank)
+        loc = ChainLocator(block_index, rank)
+        return linalg.conj_dot(self.b, model.chain_vector(self.spec, loc))
 
-    @staticmethod
-    def combine(base: Vector, pairs) -> Vector:
-        """base + sum of c v over the (c, v) pairs, in order."""
-        for c, v in pairs:
-            base = linalg.vec_add(base, linalg.vec_scale(c, v))
-        return base
+    def vector(self, terms) -> Vector:
+        """Sum of c x_k over the (c, k) terms, x_k = S e_k (e_k when S is None)."""
+        out = [GS_ZERO] * self.spec.n
+        s = self.spec.similarity
+        for c, k in terms:
+            if s is None:
+                out[k] = out[k] + c
+                continue
+            for i, row in enumerate(s):
+                if row[k]:
+                    out[i] = out[i] + c * row[k]
+        return tuple(out)
 
     def source_chain(self, j: int) -> Vector:
         """x_j of the source block (x_0 is the zero vector)."""
         if j == 0:
             return linalg.zero_vector(self.spec.n)
-        return self.block_chain(self.source.block_index, j)
+        loc = ChainLocator(self.source.block_index, j)
+        return model.chain_vector(self.spec, loc)
 
     @cached_property
     def x_m(self) -> Vector:

@@ -27,6 +27,14 @@ def _encode_chain_vector(cv: UpdatedChainVector) -> dict:
     }
 
 
+def _chain_length(problem: PerturbationProblem, case: str, block_index: int) -> int:
+    """The number of vectors a case promises: r - m in the source block,
+    otherwise the block size."""
+    if case == chains.SAME_BLOCK:
+        return problem.r - problem.m
+    return problem.spec.blocks[block_index].size
+
+
 def run_problem(
     problem: PerturbationProblem,
     mode: str = "exact",
@@ -79,14 +87,12 @@ def run_problem(
                 entry["denominator"] = encode_scalar(exc.value)
             continue
         entry["vectors"] = [_encode_chain_vector(cv) for cv in vectors]
-        if not vectors:
-            continue
-        eig = vectors[0].eigenvalue
+        eig = problem.eigenvalue(block_index)
         chain = [cv.vector for cv in vectors]
         verdict = oracle.verify_chain(updated, eig, chain)
-        ranks_ok = oracle.chain_ranks(updated, eig, chain) == [
-            cv.rank for cv in vectors
-        ]
+        ranks_ok = oracle.chain_ranks(updated, eig, chain) == list(
+            range(1, _chain_length(problem, case, block_index) + 1)
+        )
         ok = verdict.ok and ranks_ok
         all_ok = all_ok and ok
         verdicts.append(
@@ -149,6 +155,7 @@ def run_problem_float(
         "bound": perturb.changed_eigenvalue_bound(problem),
     }
     max_residual = 0.0
+    lengths_ok = True
     chain_reports = []
     for case, block_index in chains.chain_cases(problem, which_chains):
         entry = {"case": case, "block": block_index}
@@ -158,17 +165,18 @@ def run_problem_float(
         except DegenerateDenominator as exc:
             entry["degenerate"] = str(exc)
             continue
-        if produced:
-            residual = floatmode.chain_residual(
-                fp, produced[0].eigenvalue, [cv.vector for cv in produced]
-            )
-            entry["ranks"] = [cv.rank for cv in produced]
-            entry["residual"] = residual
-            max_residual = max(max_residual, residual)
+        residual = floatmode.chain_residual(
+            fp, fp.eigenvalue(block_index), [cv.vector for cv in produced]
+        )
+        entry["ranks"] = [cv.rank for cv in produced]
+        entry["residual"] = residual
+        max_residual = max(max_residual, residual)
+        lengths_ok = lengths_ok and (
+            len(produced) == _chain_length(problem, case, block_index)
+        )
     report["chains"] = chain_reports
     report["max_residual"] = max_residual
     report["residual_scale"] = scale
-    report["status"] = (
-        "PASS" if max_residual <= tolerance * max(scale, 1.0) else "FAILED"
-    )
+    residual_ok = max_residual <= tolerance * max(scale, 1.0)
+    report["status"] = "PASS" if residual_ok and lengths_ok else "FAILED"
     return report

@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geu import chains, floatmode
+from geu.errors import DegenerateDenominator
 from geu.fuzz import random_problem
 from geu.model import ChainLocator, JordanBlock, JordanSpec, jordan_matrix
 from geu.perturb import PerturbationProblem
@@ -10,16 +14,38 @@ from geu.report import run_problem
 from geu.scalars import gs
 
 
-def test_float_matches_exact_worked(worked):
-    fp = floatmode.FloatProblem(worked)
-    for case, block in chains.chain_cases(worked):
+def _assert_float_matches_exact(problem):
+    """Same cases, degeneracies and ranks; vectors within 1e-12 relative."""
+    fp = floatmode.FloatProblem(problem)
+    for case, block in chains.chain_cases(problem):
+        try:
+            exact = chains.build_chain(problem, case, block)
+        except DegenerateDenominator:
+            with pytest.raises(DegenerateDenominator):
+                chains.build_chain(fp, case, block)
+            continue
         produced = chains.build_chain(fp, case, block)
-        exact = chains.build_chain(worked, case, block)
         assert [cv.rank for cv in produced] == [cv.rank for cv in exact]
         for cv, want in zip(produced, exact):
             assert cv.eigenvalue == complex(want.eigenvalue)
             vec = np.array([complex(x) for x in want.vector])
-            assert np.allclose(cv.vector, vec, atol=1e-12)
+            err = np.linalg.norm(cv.vector - vec)
+            assert err <= 1e-12 * max(np.linalg.norm(vec), 1.0)
+
+
+def test_float_matches_exact_worked(worked):
+    _assert_float_matches_exact(worked)
+
+
+def test_float_matches_exact_random():
+    rng = random.Random(1309)
+    checked = 0
+    for i in range(300):
+        problem = random_problem(rng, 8, allow_complex=i % 3 == 0)
+        if problem.spec.similarity is not None:
+            _assert_float_matches_exact(problem)
+            checked += 1
+    assert checked > 100
 
 
 def test_float_report_worked(worked):
@@ -38,7 +64,7 @@ def test_float_residuals_random(rng):
 
 def test_residual_scale_definition(worked):
     fp = floatmode.FloatProblem(worked)
-    x = fp.source_chain(worked.m)
+    x = fp.s[:, worked.spec.block_offset(worked.source.block_index) + worked.m - 1]
     want = np.linalg.norm(fp.a) + np.linalg.norm(x) * np.linalg.norm(fp.b)
     assert fp.residual_scale() == want
 
